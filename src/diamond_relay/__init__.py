@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     FeasibilityError,
     HypothesisError,
+    InvariantError,
     NegativeGapError,
 )
 from .experiments import (
@@ -73,6 +74,7 @@ __all__ = [
     "ExponentialUnitMean",
     "FeasibilityError",
     "HypothesisError",
+    "InvariantError",
     "LemmaCase",
     "LinkCapacities",
     "LogUniform",

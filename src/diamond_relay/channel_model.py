@@ -14,6 +14,7 @@ SNRs add) and the destination-side cut where both relays transmit coherently
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -36,13 +37,36 @@ _LN2 = math.log(2.0)
 _CUT_CAP_SLACK = 1e-9
 
 
-def _checked_value(name: str, value: object) -> float:
+def _checked_value(
+    name: str, value: object, low: float | None = None, strict: bool = False
+) -> float:
+    """value as a finite float, at least low (above low when strict) if given."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
+    if low is not None and (value <= low if strict else value < low):
+        raise DomainError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value}")
     return value
+
+
+def plain_dict(obj: object) -> dict[str, object]:
+    """A dataclass's fields in order, as JSON-ready values.
+
+    Enums become their values, tuples lists and frozensets sorted lists.
+    """
+    out: dict[str, object] = {}
+    for field in fields(obj):  # type: ignore[arg-type]
+        value = getattr(obj, field.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, frozenset):
+            value = sorted(value)
+        out[field.name] = value
+    return out
 
 
 def _log2_1p(x: float) -> float:
@@ -87,19 +111,14 @@ class ChannelSpec:
     p_r2: float
 
     def __post_init__(self) -> None:
+        # gains and powers may be 0; noise variances must be positive
         for field in fields(self):
-            object.__setattr__(
-                self, field.name, _checked_value(field.name, getattr(self, field.name))
-            )
-        for name in ("g01", "g02", "g13", "g23", "p_s", "p_r1", "p_r2"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("sigma1_sq", "sigma2_sq", "sigma3_sq"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+            strict = field.name.startswith("sigma")
+            value = _checked_value(field.name, getattr(self, field.name), 0.0, strict)
+            object.__setattr__(self, field.name, value)
 
     def to_dict(self) -> dict[str, float]:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+        return plain_dict(self)  # type: ignore[return-value]
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ChannelSpec":
@@ -132,25 +151,19 @@ class LinkCapacities:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = _checked_value(field.name, getattr(self, field.name))
+            value = _checked_value(field.name, getattr(self, field.name), 0.0)
             object.__setattr__(self, field.name, value)
-            if value < 0.0:
-                raise DomainError(f"{field.name} must be >= 0, got {value}")
-        strongest_source = max(self.c01, self.c02)
-        if self.c012 < strongest_source - _CUT_CAP_SLACK * max(1.0, strongest_source):
-            raise DomainError(
-                f"c012 = {self.c012} is below max(c01, c02) = {strongest_source}; "
-                "the joint source cut cannot be weaker than its strongest link"
-            )
-        strongest_relay = max(self.c13, self.c23)
-        if self.c123 < strongest_relay - _CUT_CAP_SLACK * max(1.0, strongest_relay):
-            raise DomainError(
-                f"c123 = {self.c123} is below max(c13, c23) = {strongest_relay}; "
-                "the joint relay cut cannot be weaker than its strongest link"
-            )
+        for cut, a, b, side in (("c012", "c01", "c02", "source"), ("c123", "c13", "c23", "relay")):
+            value = getattr(self, cut)
+            strongest = max(getattr(self, a), getattr(self, b))
+            if value < strongest - _CUT_CAP_SLACK * max(1.0, strongest):
+                raise DomainError(
+                    f"{cut} = {value} is below max({a}, {b}) = {strongest}; "
+                    f"the joint {side} cut cannot be weaker than its strongest link"
+                )
 
     def to_dict(self) -> dict[str, float]:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+        return plain_dict(self)  # type: ignore[return-value]
 
 
 def link_capacity(gain: float, power: float, noise_var: float) -> float:
@@ -162,15 +175,9 @@ def link_capacity(gain: float, power: float, noise_var: float) -> float:
         DomainError: if gain or power is negative, noise_var is not strictly
             positive, or any argument is non-finite.
     """
-    gain = _checked_value("gain", gain)
-    power = _checked_value("power", power)
-    noise_var = _checked_value("noise_var", noise_var)
-    if gain < 0.0:
-        raise DomainError(f"gain must be >= 0, got {gain}")
-    if power < 0.0:
-        raise DomainError(f"power must be >= 0, got {power}")
-    if noise_var <= 0.0:
-        raise DomainError(f"noise_var must be > 0, got {noise_var}")
+    gain = _checked_value("gain", gain, 0.0)
+    power = _checked_value("power", power, 0.0)
+    noise_var = _checked_value("noise_var", noise_var, 0.0, strict=True)
     snr = gain * power / noise_var
     if snr == 0.0:
         return 0.0
@@ -219,11 +226,7 @@ def induced_capacities(
     fabricated here are always physically realizable.
     """
     values = {"c01": c01, "c02": c02, "c13": c13, "c23": c23}
-    for name, value in values.items():
-        value = _checked_value(name, value)
-        if value < 0.0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
-        values[name] = value
+    values = {name: _checked_value(name, value, 0.0) for name, value in values.items()}
     if c012 is None:
         snr_sum = _snr_for_capacity("c01", values["c01"]) + _snr_for_capacity(
             "c02", values["c02"]
@@ -246,13 +249,7 @@ def gain_for_capacity(capacity: float, power: float = 1.0, noise_var: float = 1.
 
     gain = (2^capacity - 1) * noise_var / power.
     """
-    capacity = _checked_value("capacity", capacity)
-    power = _checked_value("power", power)
-    noise_var = _checked_value("noise_var", noise_var)
-    if capacity < 0.0:
-        raise DomainError(f"capacity must be >= 0, got {capacity}")
-    if power <= 0.0:
-        raise DomainError(f"power must be > 0 to realize a gain, got {power}")
-    if noise_var <= 0.0:
-        raise DomainError(f"noise_var must be > 0, got {noise_var}")
+    capacity = _checked_value("capacity", capacity, 0.0)
+    power = _checked_value("power", power, 0.0, strict=True)
+    noise_var = _checked_value("noise_var", noise_var, 0.0, strict=True)
     return _snr_for_capacity("capacity", capacity) * noise_var / power

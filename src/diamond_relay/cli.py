@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -24,6 +25,7 @@ from .experiments import (
     ExponentialUnitMean,
     LogUniform,
     SweepConfig,
+    _csv_cell,
     iter_records,
     summarize,
     write_records_csv,
@@ -36,22 +38,10 @@ EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
 EXIT_INPUT_ERROR = 2
 
-_CAPACITY_FIELDS = ("c01", "c02", "c13", "c23")
-_OPTIONAL_CAPACITY_FIELDS = ("c012", "c123")
-_SPEC_FIELDS = frozenset(
-    (
-        "g01",
-        "g02",
-        "g13",
-        "g23",
-        "sigma1_sq",
-        "sigma2_sq",
-        "sigma3_sq",
-        "p_s",
-        "p_r1",
-        "p_r2",
-    )
-)
+_SPEC_FIELDS = frozenset(field.name for field in fields(ChannelSpec))
+# the four link capacities are required, the two cut capacities optional
+_CAPACITY_FIELDS = frozenset(field.name for field in fields(LinkCapacities))
+_LINK_FIELDS = _CAPACITY_FIELDS - {"c012", "c123"}
 
 _CONDITIONING_BY_FLAG = {
     "unconditioned": Conditioning.UNCONDITIONED,
@@ -84,35 +74,17 @@ def _capacities_from_input(data: dict[str, object]) -> LinkCapacities:
     """Accept either a gain-space channel spec or a capacity-space object."""
     if _SPEC_FIELDS & set(data):
         return derive_capacities(ChannelSpec.from_dict(data))
-    if any(key in data for key in _CAPACITY_FIELDS + _OPTIONAL_CAPACITY_FIELDS):
-        allowed = set(_CAPACITY_FIELDS) | set(_OPTIONAL_CAPACITY_FIELDS)
-        unknown = sorted(set(data) - allowed)
+    if _CAPACITY_FIELDS & set(data):
+        unknown = sorted(set(data) - _CAPACITY_FIELDS)
         if unknown:
             raise DomainError(f"unknown capacity field(s): {', '.join(unknown)}")
-        missing = sorted(set(_CAPACITY_FIELDS) - set(data))
+        missing = sorted(_LINK_FIELDS - set(data))
         if missing:
             raise DomainError(f"missing capacity field(s): {', '.join(missing)}")
-        return induced_capacities(
-            data["c01"],  # type: ignore[arg-type]
-            data["c02"],  # type: ignore[arg-type]
-            data["c13"],  # type: ignore[arg-type]
-            data["c23"],  # type: ignore[arg-type]
-            c012=data.get("c012"),  # type: ignore[arg-type]
-            c123=data.get("c123"),  # type: ignore[arg-type]
-        )
+        return induced_capacities(**data)  # type: ignore[arg-type]
     raise DomainError(
         "input must be a channel spec (g01, ..., p_r2) or link capacities (c01, c02, c13, c23)"
     )
-
-
-def _format_scalar(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _flatten(payload: dict[str, object], prefix: str = "") -> dict[str, object]:
@@ -144,7 +116,7 @@ def _write_payload(payload: dict[str, object], args: argparse.Namespace) -> None
             flat = _flatten(payload)
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(flat.keys())
-            writer.writerow([_format_scalar(v) for v in flat.values()])
+            writer.writerow([_csv_cell(v) for v in flat.values()])
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -268,10 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DiamondRelayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (DiamondRelayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

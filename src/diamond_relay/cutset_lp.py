@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import LinkCapacities
-from .errors import DomainError
+from .channel_model import LinkCapacities, plain_dict
+from .errors import DomainError, InvariantError
 
 __all__ = ["CutSetSolution", "cut_values", "solve_bound"]
 
@@ -54,23 +54,16 @@ class CutSetSolution:
     binding: frozenset[int]
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "t": list(self.t),
-            "bound": self.bound,
-            "cut_values": list(self.cut_values),
-            "binding": sorted(self.binding),
-        }
+        return plain_dict(self)
 
 
-def _cut_matrix(caps: LinkCapacities) -> np.ndarray:
+def _cut_rows(caps: LinkCapacities) -> tuple[tuple[float, float, float, float], ...]:
     # rows = cuts, columns = per-state capacity of that cut
-    return np.array(
-        [
-            [caps.c012, caps.c02, caps.c01, 0.0],
-            [caps.c02, caps.c02 + caps.c13, 0.0, caps.c13],
-            [caps.c01, 0.0, caps.c01 + caps.c23, caps.c23],
-            [0.0, caps.c13, caps.c23, caps.c123],
-        ]
+    return (
+        (caps.c012, caps.c02, caps.c01, 0.0),
+        (caps.c02, caps.c02 + caps.c13, 0.0, caps.c13),
+        (caps.c01, 0.0, caps.c01 + caps.c23, caps.c23),
+        (0.0, caps.c13, caps.c23, caps.c123),
     )
 
 
@@ -93,11 +86,8 @@ def cut_values(
         raise DomainError(f"t entries must be >= 0, got {t!r}")
     if abs(t1 + t2 + t3 + t4 - 1.0) > _T_INPUT_SLACK:
         raise DomainError(f"t must sum to 1, got sum = {t1 + t2 + t3 + t4}")
-    return (
-        t1 * caps.c012 + t2 * caps.c02 + t3 * caps.c01,
-        t1 * caps.c02 + t2 * (caps.c02 + caps.c13) + t4 * caps.c13,
-        t1 * caps.c01 + t3 * (caps.c01 + caps.c23) + t4 * caps.c23,
-        t2 * caps.c13 + t3 * caps.c23 + t4 * caps.c123,
+    return tuple(  # type: ignore[return-value]
+        t1 * a + t2 * b + t3 * c + t4 * d for a, b, c, d in _cut_rows(caps)
     )
 
 
@@ -110,7 +100,7 @@ def solve_bound(caps: LinkCapacities) -> CutSetSolution:
     by the lexicographically smallest (t1, t4, t2, t3), which prefers
     schedules that never idle both relays on the same side.
     """
-    m = _cut_matrix(caps)
+    m = np.array(_cut_rows(caps))
 
     # the 8 inequalities as equality rows over x = (rate, t1..t4)
     rows = np.zeros((8, 5))
@@ -140,7 +130,7 @@ def solve_bound(caps: LinkCapacities) -> CutSetSolution:
     feasible = (t >= -_FEASIBILITY_SLACK).all(axis=1)
     feasible &= rate <= cuts.min(axis=1) + _FEASIBILITY_SLACK
     if not feasible.any():  # the simplex is nonempty and compact
-        raise AssertionError("no feasible vertex found; enumeration is broken")
+        raise InvariantError("no feasible vertex found; enumeration is broken")
     rate = rate[feasible]
     t = t[feasible]
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+DiamondRelayError and its subclasses mean bad input: a value outside an
+operation's domain or an instance that breaks a result's hypothesis. The CLI
+reports them and exits with 2. InvariantError and its subclass
+NegativeGapError mean a defect in the package itself; they are not value
+errors, so they surface as a traceback.
+"""
 
 
 class DiamondRelayError(ValueError):
@@ -25,9 +32,12 @@ class FeasibilityError(DiamondRelayError):
     """A time-sharing vector leaves the scheduling simplex."""
 
 
-class NegativeGapError(RuntimeError):
-    """A sweep produced a record with bound < achievable rate beyond tolerance.
+class InvariantError(RuntimeError):
+    """An internal invariant broke; this is a defect in the package, not bad input."""
 
-    This can only come from a solver defect, never from the sampled data, so
-    it is a RuntimeError rather than a value error.
+
+class NegativeGapError(InvariantError):
+    """The cut-set bound came out below the achievable rate beyond tolerance.
+
+    This can only come from a solver defect, never from the input data.
     """

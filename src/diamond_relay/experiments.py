@@ -23,11 +23,12 @@ import numpy as np
 from .channel_model import (
     ChannelSpec,
     LinkCapacities,
+    _checked_value,
     derive_capacities,
     gain_for_capacity,
     link_capacity,
 )
-from .errors import DomainError, NegativeGapError
+from .errors import DomainError
 from .optimality import LemmaCase, certify_capacities
 
 __all__ = [
@@ -48,27 +49,29 @@ __all__ = [
 
 RNG_ALGORITHM = "philox4x64-10(key=seed, counter=index*2^192), inverse-CDF transforms"
 
-GAP_FLOOR = -1e-9
-
-CSV_HEADER = (
-    "seed",
-    "index",
-    "g01",
-    "g02",
-    "g13",
-    "g23",
-    "c01",
-    "c02",
-    "c13",
-    "c23",
-    "c012",
-    "c123",
-    "r_sr",
-    "bound",
-    "gap",
-    "lemma_case",
-    "certified",
+# (column, cell) for each sweep CSV column in order; a cell reads its value
+# from (config, record)
+_CSV_COLUMNS = (
+    ("seed", lambda config, record: config.seed),
+    ("index", lambda config, record: record.index),
+    ("g01", lambda config, record: record.spec.g01),
+    ("g02", lambda config, record: record.spec.g02),
+    ("g13", lambda config, record: record.spec.g13),
+    ("g23", lambda config, record: record.spec.g23),
+    ("c01", lambda config, record: record.caps.c01),
+    ("c02", lambda config, record: record.caps.c02),
+    ("c13", lambda config, record: record.caps.c13),
+    ("c23", lambda config, record: record.caps.c23),
+    ("c012", lambda config, record: record.caps.c012),
+    ("c123", lambda config, record: record.caps.c123),
+    ("r_sr", lambda config, record: record.r_sr),
+    ("bound", lambda config, record: record.bound),
+    ("gap", lambda config, record: record.gap),
+    ("lemma_case", lambda config, record: record.lemma_case.value),
+    ("certified", lambda config, record: record.certified),
 )
+
+CSV_HEADER = tuple(column for column, _ in _CSV_COLUMNS)
 
 # Forced product-equal draws are rejected while the implied fourth capacity
 # exceeds this, so the inverted gain stays far inside double range.
@@ -98,12 +101,7 @@ class LogUniform:
 
     def __post_init__(self) -> None:
         for name in ("lo", "hi"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"lo and hi must be finite, got {self.lo}, {self.hi}")
+            object.__setattr__(self, name, _checked_value(name, getattr(self, name)))
         if not 0.0 < self.lo < self.hi:
             raise DomainError(f"need 0 < lo < hi, got lo = {self.lo}, hi = {self.hi}")
 
@@ -122,14 +120,14 @@ class Conditioning(enum.Enum):
     FORCE_MIRRORED = "force_mirrored"
 
 
-def _checked_triple(name: str, values: object) -> tuple[float, float, float]:
+def _checked_triple(name: str, values: object, strict: bool) -> tuple[float, float, float]:
     try:
-        a, b, c = (float(v) for v in values)  # type: ignore[union-attr]
+        a, b, c = values  # type: ignore[misc]
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be 3 real numbers, got {values!r}") from exc
-    if not all(math.isfinite(v) for v in (a, b, c)):
-        raise DomainError(f"{name} must be finite, got {values!r}")
-    return a, b, c
+    return tuple(  # type: ignore[return-value]
+        _checked_value(f"{name}[{i}]", v, 0.0, strict) for i, v in enumerate((a, b, c))
+    )
 
 
 @dataclass(frozen=True)
@@ -159,18 +157,15 @@ class SweepConfig:
             )
         if not isinstance(self.conditioning, Conditioning):
             raise DomainError(f"conditioning must be a Conditioning, got {self.conditioning!r}")
-        powers = _checked_triple("power_budget", self.power_budget)
-        noises = _checked_triple("noise", self.noise)
+        powers = _checked_triple("power_budget", self.power_budget, strict=False)
+        noises = _checked_triple("noise", self.noise, strict=True)
         object.__setattr__(self, "power_budget", powers)
         object.__setattr__(self, "noise", noises)
-        if min(powers) < 0.0:
-            raise DomainError(f"powers must be >= 0, got {powers}")
-        if min(noises) <= 0.0:
-            raise DomainError(f"noise variances must be > 0, got {noises}")
-        if self.conditioning is Conditioning.FORCE_PRODUCT_EQUAL and min(powers) <= 0.0:
+        # both forced modes invert a capacity back to a gain, which needs power
+        if self.conditioning is not Conditioning.UNCONDITIONED and min(powers) <= 0.0:
             raise DomainError(
-                "force_product_equal needs strictly positive powers to realize "
-                "the implied fourth link"
+                f"{self.conditioning.value} needs strictly positive powers to realize "
+                "the implied links"
             )
         if self.conditioning is Conditioning.FORCE_MIRRORED:
             if not powers[0] == powers[1] == powers[2]:
@@ -181,8 +176,6 @@ class SweepConfig:
                 raise DomainError(
                     f"force_mirrored needs equal noise variances, got {noises}"
                 )
-            if powers[0] <= 0.0:
-                raise DomainError("force_mirrored needs strictly positive powers")
 
 
 @dataclass(frozen=True)
@@ -276,10 +269,6 @@ def _evaluate(config: SweepConfig, index: int) -> SweepRecord:
     spec = sample_instance(config, index)
     caps = derive_capacities(spec)
     report = certify_capacities(caps)
-    if report.gap < GAP_FLOOR:
-        raise NegativeGapError(
-            f"record {index}: bound {report.bound} is below r_sr {report.r_sr}"
-        )
     return SweepRecord(
         index=index,
         spec=spec,
@@ -346,8 +335,15 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict[str, object]
     return records, summarize(config, records)
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+def _csv_cell(value: object) -> str:
+    """One CSV cell: floats with 17 significant digits, lower-case booleans, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
 def write_records_csv(
@@ -361,29 +357,7 @@ def write_records_csv(
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for record in records:
-        spec = record.spec
-        caps = record.caps
-        writer.writerow(
-            [
-                str(config.seed),
-                str(record.index),
-                _fmt(spec.g01),
-                _fmt(spec.g02),
-                _fmt(spec.g13),
-                _fmt(spec.g23),
-                _fmt(caps.c01),
-                _fmt(caps.c02),
-                _fmt(caps.c13),
-                _fmt(caps.c23),
-                _fmt(caps.c012),
-                _fmt(caps.c123),
-                _fmt(record.r_sr),
-                _fmt(record.bound),
-                _fmt(record.gap),
-                record.lemma_case.value,
-                "true" if record.certified else "false",
-            ]
-        )
+        writer.writerow([_csv_cell(cell(config, record)) for _, cell in _CSV_COLUMNS])
 
 
 def write_summary_json(summary: dict[str, object], stream: IO[str]) -> None:

@@ -12,16 +12,23 @@ be improved, and assembles everything into a certification report.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, fields
 
-from .channel_model import ChannelSpec, LinkCapacities, derive_capacities
+from .channel_model import (
+    ChannelSpec,
+    LinkCapacities,
+    _checked_value,
+    derive_capacities,
+    plain_dict,
+)
 from .cutset_lp import cut_values, solve_bound
 from .errors import (
     ConditionError,
     DomainError,
     FeasibilityError,
     HypothesisError,
+    InvariantError,
+    NegativeGapError,
 )
 from .sr_rate import normalized_form, sr_rate_min_form
 
@@ -72,17 +79,7 @@ class OptimalityReport:
     hypothesis_warning: str | None = None
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "lemma_case": self.lemma_case.value,
-            "condition_holds": self.condition_holds,
-            "predicted_rate": self.predicted_rate,
-            "t_star": list(self.t_star) if self.t_star is not None else None,
-            "gap": self.gap,
-            "capacity_certified": self.capacity_certified,
-            "r_sr": self.r_sr,
-            "bound": self.bound,
-            "hypothesis_warning": self.hypothesis_warning,
-        }
+        return plain_dict(self)
 
 
 @dataclass(frozen=True)
@@ -101,17 +98,9 @@ class PerturbationSpec:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DomainError(f"{field.name} must be a real number, got {value!r}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise DomainError(f"{field.name} must be finite, got {value!r}")
+            low = 0.0 if field.name in ("epsilon", "eta") else None
+            value = _checked_value(field.name, getattr(self, field.name), low)
             object.__setattr__(self, field.name, value)
-        if self.epsilon < 0.0 or self.eta < 0.0:
-            raise DomainError(
-                f"epsilon and eta must be >= 0, got epsilon = {self.epsilon}, eta = {self.eta}"
-            )
         imbalance = self.gamma + self.delta - self.epsilon - self.eta
         if abs(imbalance) > 1e-12:
             raise DomainError(
@@ -155,10 +144,10 @@ def classify(caps: LinkCapacities, tol: float = _PRODUCT_TOL) -> LemmaCase:
     if not 0.0 < tol <= 1e-3:
         raise DomainError(f"tol must be in (0, 1e-3], got {tol}")
     _require_positive_links(caps)
+    if product_condition_holds(caps, tol):
+        return LemmaCase.PRODUCT_EQUAL
     p_source = caps.c01 * caps.c02
     p_relay = caps.c13 * caps.c23
-    if abs(p_source - p_relay) <= tol * max(p_source, p_relay):
-        return LemmaCase.PRODUCT_EQUAL
     if abs(caps.c01 - caps.c02) <= tol * max(caps.c01, caps.c02) and p_source <= p_relay:
         return LemmaCase.SOURCE_SIDES_EQUAL
     if abs(caps.c13 - caps.c23) <= tol * max(caps.c13, caps.c23) and p_source >= p_relay:
@@ -246,13 +235,13 @@ def perturbation_check(
     pert_cuts = cut_values(caps, perturbed)
     scale = max(1.0, abs(base_cuts[1]), abs(base_cuts[2]))
     if abs((pert_cuts[1] - base_cuts[1]) - delta_c2) > 1e-9 * scale:
-        raise AssertionError("cut-2 delta disagrees with its exact evaluation")
+        raise InvariantError("cut-2 delta disagrees with its exact evaluation")
     if abs((pert_cuts[2] - base_cuts[2]) - delta_c3) > 1e-9 * scale:
-        raise AssertionError("cut-3 delta disagrees with its exact evaluation")
+        raise InvariantError("cut-3 delta disagrees with its exact evaluation")
     if delta_c2 * delta_c3 > 0.0:
-        raise AssertionError("cut deltas must have opposite signs or vanish")
+        raise InvariantError("cut deltas must have opposite signs or vanish")
     if min(pert_cuts[1], pert_cuts[2]) > min(base_cuts[1], base_cuts[2]) + 1e-12:
-        raise AssertionError("perturbing t* must not raise min(cut2, cut3)")
+        raise InvariantError("perturbing t* must not raise min(cut2, cut3)")
     return delta_c2, delta_c3
 
 
@@ -274,7 +263,7 @@ def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
     solution = solve_bound(caps)
     gap = solution.bound - rate.r_sr
     if gap < -1e-9:
-        raise AssertionError(
+        raise NegativeGapError(
             f"achievable rate {rate.r_sr} exceeds the cut-set bound {solution.bound}; "
             "the bound solver is broken"
         )
@@ -299,7 +288,7 @@ def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
         star_cuts = cut_values(caps, star)
         spread = max(star_cuts) - min(star_cuts)
         if spread > _EQUAL_CUTS_REL_TOL * max(1.0, max(star_cuts)):
-            raise AssertionError(
+            raise InvariantError(
                 f"t* = {star} fails to equalize the cuts: {star_cuts}"
             )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .channel_model import LinkCapacities
+from .channel_model import LinkCapacities, plain_dict
 from .errors import DegenerateDenominatorError
 
 __all__ = [
@@ -58,15 +58,7 @@ class SrRateResult:
     degenerate: bool
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "r1": self.r1,
-            "r2": self.r2,
-            "r_sr": self.r_sr,
-            "winner": self.winner.value,
-            "degenerate": self.degenerate,
-        }
+        return plain_dict(self)
 
 
 def time_fractions(caps: LinkCapacities) -> tuple[float, float]:

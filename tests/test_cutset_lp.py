@@ -1,5 +1,7 @@
 """Scheduling bound solver: worked vertices, invariants, grid-search agreement."""
 
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -42,6 +44,19 @@ class TestWorkedVertices:
         # relay 2 is useless, so the schedule time-shares relay 1's two hops
         sol = solve_bound(caps_of(2.0, 0.0, 2.0, 0.0))
         assert sol.bound == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSolutionDict:
+    def test_to_dict_is_plain_json_in_field_order(self):
+        sol = solve_bound(induced_capacities(0.0, 1.5, 2.5, 1.25, c012=2.0))
+        d = sol.to_dict()
+        assert list(d) == ["t", "bound", "cut_values", "binding"]
+        assert d["t"] == list(sol.t)
+        assert d["cut_values"] == list(sol.cut_values)
+        assert d["bound"] == sol.bound
+        assert d["binding"] == [1, 2, 3]
+        assert d["binding"] == sorted(sol.binding)
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestCutValues:

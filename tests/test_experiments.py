@@ -79,12 +79,14 @@ class TestSweepConfig:
             small_config(seed=2**64)
 
     def test_rejects_zero_noise(self):
-        with pytest.raises(DomainError):
-            small_config(noise=(1.0, 0.0, 1.0))
+        for noise in [(1.0, 0.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0)]:
+            with pytest.raises(DomainError, match="noise"):
+                small_config(noise=noise)
 
     def test_rejects_negative_power(self):
-        with pytest.raises(DomainError):
-            small_config(power_budget=(1.0, -1.0, 1.0))
+        for power in [(1.0, -1.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0)]:
+            with pytest.raises(DomainError, match="power_budget"):
+                small_config(power_budget=power)
 
     def test_product_conditioning_needs_relay_power(self):
         with pytest.raises(DomainError):

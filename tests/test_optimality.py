@@ -3,13 +3,18 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import diamond_relay.optimality as optimality
 from diamond_relay import (
     ChannelSpec,
     ConditionError,
+    CutSetSolution,
+    DiamondRelayError,
     DomainError,
     FeasibilityError,
     HypothesisError,
+    InvariantError,
     LemmaCase,
+    NegativeGapError,
     PerturbationSpec,
     certify,
     certify_capacities,
@@ -260,6 +265,20 @@ class TestCertify:
         report = certify_capacities(caps)
         assert report.capacity_certified
         assert report.bound == pytest.approx(solve_bound(caps).bound)
+
+    def test_bound_below_rate_is_a_typed_defect(self, monkeypatch):
+        caps = caps_of(2.0, 3.0, 3.0, 2.0)
+        rate = sr_rate_min_form(caps).r_sr
+        low = rate - 1e-6
+        broken = CutSetSolution(
+            t=(0.0, 0.4, 0.6, 0.0), bound=low, cut_values=(low,) * 4, binding=frozenset({1})
+        )
+        monkeypatch.setattr(optimality, "solve_bound", lambda caps: broken)
+        with pytest.raises(NegativeGapError) as info:
+            certify_capacities(caps)
+        # a package defect, never reported by the CLI as bad input (exit 2)
+        assert isinstance(info.value, InvariantError)
+        assert not isinstance(info.value, DiamondRelayError)
 
     def test_condition_helper_agrees_with_classifier(self):
         caps = caps_of(2.0, 3.0, 3.0, 2.0)
