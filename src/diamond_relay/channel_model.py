@@ -43,7 +43,10 @@ def _checked_value(
     """value as a finite float, at least low (above low when strict) if given."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond double range
+        raise DomainError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if low is not None and (value <= low if strict else value < low):

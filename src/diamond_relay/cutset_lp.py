@@ -15,7 +15,14 @@ The bound is the maximum over schedules of the minimum cut. With the rate
 adjoined as a fifth unknown this is a five-variable LP; the feasible set
 contains no line, so an optimum sits at a vertex where the simplex equality
 plus four of the eight inequalities (rate <= cut_i, t_j >= 0) are tight.
-solve_bound enumerates every such active set exactly.
+
+solve_bound locates, certifies, then selects. By Shapley and Snow (1950,
+Basic solutions of discrete games) the optimum sits on a square kernel
+B = M[C, S] of the 4x4 cut matrix M, with t_S ~ B^-1 1; _locate scans the 69
+kernels in pure Python, certifies the optimal one and proves which active sets
+can win there. The selection (determinant screen, LAPACK solve, feasibility
+filter, tie-break) runs over those only, or over all 70 without a proof; the
+schedule stays LAPACK's, as the closed-form one moves its last digit.
 """
 
 from __future__ import annotations
@@ -34,10 +41,29 @@ __all__ = ["CutSetSolution", "cut_values", "solve_bound"]
 _FEASIBILITY_SLACK = 1e-9  # absolute slack when screening candidate vertices
 _T_INPUT_SLACK = 1e-9  # slack accepted on cut_values inputs
 _BINDING_REL_TOL = 1e-9
+_TIE_REL_TOL = 1e-12  # vertices this close to the best rate tie
+_ZERO = 1e-10  # what locate reads as zero, relative to the scale
+_TRUSTED = 1e6 * _FEASIBILITY_SLACK  # least link that lets locate trust a degenerate vertex
 
 # Every choice of 4 active constraints out of 8 (cut rows first, then the
 # four nonnegativity rows); 70 candidate vertices in total.
 _ACTIVE_SETS = np.array(list(itertools.combinations(range(8), 4)), dtype=np.intp)
+_ALL_SETS = np.arange(len(_ACTIVE_SETS))
+_SET_INDEX = {s: i for i, s in enumerate(itertools.combinations(range(8), 4))}
+# rows 4-8 of a system table (t_j = 0, then the simplex row); each set's rows
+_STATE_ROWS = [tuple(float(i == j) for i in range(5)) for j in range(1, 5)] + [(0.0,) + (1.0,) * 4]
+_SYSTEMS = np.column_stack([_ACTIVE_SETS, np.full(len(_ACTIVE_SETS), 8)])
+_RHS = np.eye(5)[:, 4:]
+_TIE_ORDER = (0, 3, 1, 2)  # states in tie-break order: t1, t4, t2, t3
+
+# The 69 kernels (active set, cuts C, states S), |C| = |S|, most frequent winners first
+_FREQUENT = (0, 37, 36, 18, 8, 15, 5, 41)
+_SUBSETS = [c for k in range(1, 5) for c in itertools.combinations(range(4), k)]
+_KERNELS = sorted(
+    ((_SET_INDEX[tuple(sorted(c + tuple(4 + j for j in range(4) if j not in s)))], c, s)
+     for c in _SUBSETS for s in _SUBSETS if len(c) == len(s)),
+    key=lambda kernel: (_FREQUENT + (kernel[0],)).index(kernel[0]),
+)
 
 
 @dataclass(frozen=True)
@@ -91,66 +117,160 @@ def cut_values(
     )
 
 
+def _adjugate(b) -> list[list[float]]:
+    """adj(b) of a 1x1 to 4x4 matrix, so that b @ adj(b) = det(b) I."""
+    if len(b) < 3:
+        return [[1.0]] if len(b) == 1 else [[b[1][1], -b[0][1]], [-b[1][0], b[0][0]]]
+    if len(b) == 3:  # columns are cross products of row pairs
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
+        return [[b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1],
+                [b2 * c0 - b0 * c2, c2 * a0 - c0 * a2, a2 * b0 - a0 * b2],
+                [b0 * c1 - b1 * c0, c0 * a1 - c1 * a0, a0 * b1 - a1 * b0]]
+    # Laplace expansion over the 2x2 minors of rows 0-1 (s) and rows 2-3 (c)
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = b
+    s0, s1, s2 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
+    s3, s4, s5 = a01 * a12 - a11 * a02, a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
+    c0, c1, c2 = a20 * a31 - a30 * a21, a20 * a32 - a30 * a22, a20 * a33 - a30 * a23
+    c3, c4, c5 = a21 * a32 - a31 * a22, a21 * a33 - a31 * a23, a22 * a33 - a32 * a23
+    return [[a11 * c5 - a12 * c4 + a13 * c3, -a01 * c5 + a02 * c4 - a03 * c3,
+             a31 * s5 - a32 * s4 + a33 * s3, -a21 * s5 + a22 * s4 - a23 * s3],
+            [-a10 * c5 + a12 * c2 - a13 * c1, a00 * c5 - a02 * c2 + a03 * c1,
+             -a30 * s5 + a32 * s2 - a33 * s1, a20 * s5 - a22 * s2 + a23 * s1],
+            [a10 * c4 - a11 * c2 + a13 * c0, -a00 * c4 + a01 * c2 - a03 * c0,
+             a30 * s4 - a31 * s2 + a33 * s0, -a20 * s4 + a21 * s2 - a23 * s0],
+            [-a10 * c3 + a11 * c1 - a12 * c0, a00 * c3 - a01 * c1 + a02 * c0,
+             -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0]]
+
+
+def _locate(rows) -> list[int] | None:
+    """Indices of the active sets the selection can pick, or None if unproven.
+
+    Once t is optimal, dt[j] and drate bound how far a kept candidate (t >= -eps,
+    rate <= cut + eps, near-best) is from t: too little to tighten a slack constraint.
+    """
+    scale = max(map(max, rows))
+    tol = _ZERO * scale
+    for _, cuts, states in _KERNELS if scale > 0.0 else ():
+        b = rows if len(cuts) == 4 else [[rows[i][j] for j in states] for i in cuts]
+        adj = _adjugate(b)
+        sums = [sum(row) for row in adj]
+        total = sum(sums)
+        if total == 0.0:
+            continue
+        t = [0.0] * 4
+        for j, u in zip(states, sums):
+            t[j] = u / total
+        if min(t) < -_ZERO:
+            continue
+        v = sum([x * row[0] for x, row in zip(b[0], adj)]) / total
+        t1, t2, t3, t4 = t
+        slack = [p * t1 + q * t2 + r * t3 + s * t4 - v for p, q, r, s in rows]
+        if v <= tol or min(slack) < -tol:
+            continue
+        y = [sum(col) / total for col in zip(*adj)]
+        outside = [j for j in range(4) if j not in states]
+        z = {j: v - sum([w * rows[i][j] for w, i in zip(y, cuts)]) for j in outside}
+        if min(y) >= -_ZERO and min(z.values(), default=0.0) >= -tol:
+            break
+    else:
+        return None
+    noise = 1e-12 * (1.0 + scale)  # roundoff of a LAPACK vertex and of the matmul
+    eps = _FEASIBILITY_SLACK + noise
+    window = 2 * _TIE_REL_TOL * max(1.0, v) + noise
+    tight = [i for i in range(4) if slack[i] <= tol] + [4 + j for j in range(4) if t[j] <= _ZERO]
+    if len(tight) == 4:
+        # non-degenerate: rate - v = sum y_i (rate - cut_i) - sum z_j t_j, so a
+        # near-best point breaks cut i by <= reach / y_i, state j by <= reach / z_j
+        if min(y) <= 0.0 or min(z.values(), default=1.0) <= 0.0:
+            return None
+        reach = window + eps * (1.0 + sum(z.values()))
+        dt = [max(eps, reach / z[j]) if j in z else 0.0 for j in range(4)]
+        drate = reach * len(y) + sum([z[j] * dt[j] for j in z])
+        spill = [sum([abs(rows[i][j]) * dt[j] for j in z]) for i in cuts]  # M[C, not S] t
+        shift = max([reach / w + e for w, e in zip(y, spill)])
+        inv_norm = max(sum(map(abs, row)) for row in adj) / abs(total * v)  # |B^-1|
+        for j in states:  # t_S = B^-1 (rate 1 - broken amounts - M[C, not S] t)
+            dt[j] = inv_norm * (drate + shift)
+    elif 4 < len(tight) <= 6 and min(rows[2][0], rows[0][1], rows[3][1], rows[3][2]) >= _TRUSTED:
+        # degenerate: a candidate outranking t keeps the zero states heading the
+        # tie-break order within eps of 0; the tight cuts pin the one or two left
+        rest = _TIE_ORDER[next(n for n, j in enumerate(_TIE_ORDER) if 4 + j not in tight) :]
+        slopes = [rows[i][rest[0]] - rows[i][rest[-1]] for i in tight if i < 4]
+        pin = min(max(slopes), -min(slopes)) if len(rest) == 2 else math.inf
+        if any(4 + j in tight for j in rest) or len(rest) > 2 or pin <= tol:
+            return None
+        dt = [eps] * 4  # with t[rest[0]] + t[rest[1]] fixed, opposite slopes pin it
+        dt[rest[0]] = (window + eps * (1.0 + 4 * scale)) / pin
+        dt[rest[-1]] = dt[rest[0]] + 4 * eps
+        drate = window + eps + max(sum(map(abs, rows[i])) for i in tight if i < 4) * max(dt)
+    else:
+        return None
+    moved = [drate + sum([abs(m) * d for m, d in zip(row, dt)]) for row in rows] + dt
+    if any(gap <= 2 * d for n, (gap, d) in enumerate(zip(slack + t, moved)) if n not in tight):
+        return None
+    return [_SET_INDEX[s] for s in itertools.combinations(tight, 4)]
+
+
+def _select(caps: LinkCapacities, rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """(t, cut values at t) of the best vertex over sets; None if all 70 could differ."""
+    full = len(sets) == len(_ACTIVE_SETS)
+    # each set's system over (rate, t1..t4): rate - cut_i = 0 or t_j = 0, sum t = 1
+    a = np.array([(1.0, -p, -q, -r, -s) for p, q, r, s in rows] + _STATE_ROWS)[_SYSTEMS[sets]]
+    # skip singular sets: |det| against the row norms' Hadamard bound, scale-free
+    screen = np.abs(np.linalg.det(a)) > 1e-10 * np.sqrt((a * a).sum(axis=2)).prod(axis=1)
+    x = np.linalg.solve(a[screen], _RHS)[:, :, 0]
+    x = x[np.isfinite(x).all(axis=1)]
+    # the matmul's last bit depends on the batch size: a subset keeps clear of it
+    low, guard, feasible = -_FEASIBILITY_SLACK, 1e-12 * (1.0 + max(map(max, rows))), []
+    for row, cuts in zip(x.tolist(), (x[:, 1:] @ np.array(rows).T).tolist()):
+        rate, t1, t2, t3, t4 = row
+        if t1 >= low and t2 >= low and t3 >= low and t4 >= low:
+            limit = min(cuts) + _FEASIBILITY_SLACK
+            if not full and abs(rate - limit) <= guard:
+                return None
+            if rate <= limit:
+                feasible.append(row)
+    if not feasible:
+        if full:  # the simplex is nonempty and compact
+            raise InvariantError("no feasible vertex found; enumeration is broken")
+        return None
+    best = max(row[0] for row in feasible)
+    floor = best - _TIE_REL_TOL * max(1.0, abs(best))
+    # round to 12 decimals so vertices that differ only by solve noise tie,
+    # then prefer small t1, then t4, then t2 (a stable sort). np.round(x, 12)
+    # is rint(x * 1e12) / 1e12 and sorts as rint(x * 1e12); round(x, 12) does not
+    ranked = sorted(
+        (row for row in feasible if row[0] >= floor),
+        key=lambda r: (round(r[1] * 1e12), round(r[4] * 1e12), round(r[2] * 1e12),
+                       round(r[3] * 1e12)),
+    )
+    first = None
+    for row in ranked:
+        # negative entries are roundoff of a feasible vertex; <= also maps -0.0 to 0
+        t = [v if v > 0.0 else 0.0 for v in row[1:]]
+        total = ((t[0] + t[1]) + t[2]) + t[3]
+        t_final = tuple(v / total for v in t)
+        values = cut_values(caps, t_final)
+        first = first or (t_final, values)
+        if min(values) >= floor:  # else clamping lost the tie window: next
+            return t_final, values
+    return first if full else None
+
+
 def solve_bound(caps: LinkCapacities) -> CutSetSolution:
     """Maximize the minimum cut over the four-state scheduling simplex.
 
-    Exact vertex enumeration: each candidate active set yields a 5x5 linear
-    system in (rate, t1..t4); near-singular systems are skipped, infeasible
-    solutions discarded, and the best feasible vertex wins. Ties are broken
-    by the lexicographically smallest (t1, t4, t2, t3), which prefers
-    schedules that never idle both relays on the same side.
+    Exact vertex enumeration over the active sets that can win (all 70 when
+    that is unproven): each yields a 5x5 linear system in (rate, t1..t4);
+    near-singular systems are skipped, infeasible solutions discarded, and the
+    best feasible vertex wins. Ties go to the smallest (t1, t4, t2, t3), which
+    never idles both relays on one side, unless clamping drops it from the tie.
     """
-    m = np.array(_cut_rows(caps))
-
-    # the 8 inequalities as equality rows over x = (rate, t1..t4)
-    rows = np.zeros((8, 5))
-    rows[:4, 0] = 1.0
-    rows[:4, 1:] = -m
-    rows[4:, 1:] = np.eye(4)
-
-    n_sets = len(_ACTIVE_SETS)
-    a = np.empty((n_sets, 5, 5))
-    a[:, :4, :] = rows[_ACTIVE_SETS]
-    a[:, 4, 0] = 0.0
-    a[:, 4, 1:] = 1.0
-    b = np.zeros((n_sets, 5))
-    b[:, 4] = 1.0
-
-    # skip singular active sets: compare |det| against the Hadamard bound of
-    # the row norms so the screen is scale-free
-    dets = np.linalg.det(a)
-    hadamard = np.linalg.norm(a, axis=2).prod(axis=1)
-    solvable = np.abs(dets) > 1e-10 * hadamard
-
-    x = np.linalg.solve(a[solvable], b[solvable][:, :, None])[:, :, 0]
-    x = x[np.isfinite(x).all(axis=1)]
-    rate = x[:, 0]
-    t = x[:, 1:]
-    cuts = t @ m.T
-    feasible = (t >= -_FEASIBILITY_SLACK).all(axis=1)
-    feasible &= rate <= cuts.min(axis=1) + _FEASIBILITY_SLACK
-    if not feasible.any():  # the simplex is nonempty and compact
-        raise InvariantError("no feasible vertex found; enumeration is broken")
-    rate = rate[feasible]
-    t = t[feasible]
-
-    best = rate.max()
-    near_best = rate >= best - 1e-12 * max(1.0, abs(best))
-    candidates = t[near_best]
-    # round before comparing so vertices that differ only by solve noise tie,
-    # then prefer small t1, then small t4, then small t2
-    keys = np.round(candidates[:, [0, 3, 1, 2]], 12)
-    order = np.lexsort((keys[:, 3], keys[:, 2], keys[:, 1], keys[:, 0]))
-    t_opt = candidates[order[0]].copy()
-
-    # negative entries here are roundoff of a feasible vertex; <= also
-    # normalizes -0.0 from the solve to +0.0
-    t_opt[t_opt <= 0.0] = 0.0
-    t_opt /= t_opt.sum()
-    t_final = tuple(float(v) for v in t_opt)
-
-    values = cut_values(caps, t_final)
+    rows = _cut_rows(caps)
+    sets = _locate(rows)
+    chosen = None if sets is None else _select(caps, rows, sets)
+    t, values = chosen or _select(caps, rows, _ALL_SETS)
     bound = min(values)
     tol = _BINDING_REL_TOL * max(1.0, bound)
     binding = frozenset(i + 1 for i, v in enumerate(values) if v - bound <= tol)
-    return CutSetSolution(t=t_final, bound=bound, cut_values=values, binding=binding)
+    return CutSetSolution(t=t, bound=bound, cut_values=values, binding=binding)

@@ -4,6 +4,10 @@ Everything here is deliberately written against the defining optimization
 problems rather than the closed forms the package uses: the achievable rate
 as a brute-force search over the phase split, and the scheduling bound as a
 grid search over the time-sharing simplex. Slow and obvious on purpose.
+
+The differential check at the end holds solve_bound to its own selection
+over all 70 active sets, on seeded corpora; `python tests/oracles.py N` runs
+it on N instances of each family.
 """
 
 from __future__ import annotations
@@ -124,3 +128,88 @@ def grid_oracle_bound(caps: LinkCapacities, step: float = 1e-3) -> float:
 
     candidates = (0.0, s, k * step, np.minimum(k + 1, rem) * step)
     return float(max(cut_at(x).max() for x in candidates))
+
+
+# -- solve_bound against the selection over all 70 active sets ------------
+
+DIFFERENTIAL_FAMILIES = ("unconditioned", "force_product_equal", "force_mirrored", "wide")
+
+
+def differential_corpus(family: str, n: int, seed: int = 0) -> list[LinkCapacities]:
+    """n seeded instances of one family.
+
+    The three conditioning modes are sweep draws (exponential gains, unit
+    powers and noise). "wide" draws log-uniform links on 1e-3..30 with 15 %
+    zeros, and makes one in eight product-equal, one mirrored and one with
+    all four links equal.
+    """
+    from diamond_relay import Conditioning, SweepConfig, derive_capacities, induced_capacities
+    from diamond_relay.experiments import sample_instance
+
+    if family != "wide":
+        config = SweepConfig(n_samples=n, seed=seed, conditioning=Conditioning(family))
+        return [derive_capacities(sample_instance(config, i)) for i in range(n)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        links = np.exp(rng.uniform(np.log(1e-3), np.log(30.0), 4))
+        links[rng.random(4) < 0.15] = 0.0
+        c01, c02, c13, c23 = links.tolist()
+        kind = rng.integers(8)
+        if kind == 0 and c13 > 0.0 and c01 * c02 / c13 <= 30.0:
+            c23 = c01 * c02 / c13
+        elif kind == 1:
+            c13, c23 = c02, c01
+        elif kind == 2:
+            c02 = c13 = c23 = c01
+        out.append(induced_capacities(c01, c02, c13, c23))
+    return out
+
+
+def differential_check(caps_list) -> tuple[int, dict[str, int]]:
+    """Instances where solve_bound differs from its selection over all sets.
+
+    The reference is solve_bound itself with the locate step switched off, so
+    that all 70 active sets go through the selection; a difference is any
+    field that is not the same float, bit for bit. Also counts the path each
+    instance took: "one" or "several" located sets, "all" 70 because locate
+    declined, or "fallback" to all 70 because a located set failed a check.
+    """
+    from diamond_relay import cutset_lp
+
+    locate, select = cutset_lp._locate, cutset_lp._select
+    calls: list[int] = []  # the number of sets in each selection of one solve
+
+    def counting_select(caps, rows, sets):
+        calls.append(len(sets))
+        return select(caps, rows, sets)
+
+    def solve(caps, locating: bool) -> str:
+        cutset_lp._locate = locate if locating else (lambda rows: None)
+        return repr(cutset_lp.solve_bound(caps))
+
+    mismatches = 0
+    paths = dict.fromkeys(("one", "several", "all", "fallback"), 0)
+    cutset_lp._select = counting_select
+    try:
+        for caps in caps_list:
+            calls.clear()
+            got = solve(caps, locating=True)
+            if calls[0] == len(cutset_lp._ACTIVE_SETS):
+                paths["all"] += 1
+            else:
+                paths["fallback" if len(calls) > 1 else "one" if calls[0] == 1 else "several"] += 1
+            mismatches += got != solve(caps, locating=False)
+    finally:
+        cutset_lp._locate, cutset_lp._select = locate, select
+    return mismatches, paths
+
+
+if __name__ == "__main__":
+    # python tests/oracles.py N: the differential check on N instances a family
+    import sys
+
+    size = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
+    for name in DIFFERENTIAL_FAMILIES:
+        bad, counts = differential_check(differential_corpus(name, size))
+        print(f"{name}: {size} instances, {bad} mismatches, paths {counts}", flush=True)

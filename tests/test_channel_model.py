@@ -9,6 +9,7 @@ from diamond_relay import (
     ChannelSpec,
     DomainError,
     LinkCapacities,
+    SweepConfig,
     derive_capacities,
     gain_for_capacity,
     induced_capacities,
@@ -173,6 +174,17 @@ class TestInducedCapacities:
     def test_rejects_negative_capacity(self):
         with pytest.raises(DomainError):
             induced_capacities(1.0, -0.1, 1.0, 1.0)
+
+    def test_rejects_integer_beyond_double_range(self):
+        huge = 10**400  # float() raises OverflowError on it
+        with pytest.raises(DomainError, match="c23 must be finite"):
+            induced_capacities(1, 1, 1, huge)
+        with pytest.raises(DomainError, match="c012 must be finite"):
+            LinkCapacities(c01=1, c02=1, c13=1, c23=1, c012=huge, c123=2)
+        with pytest.raises(DomainError, match="p_r2 must be finite"):
+            unit_spec(p_r2=huge)
+        with pytest.raises(DomainError, match=r"noise\[2\] must be finite"):
+            SweepConfig(n_samples=1, seed=0, noise=(1.0, 1.0, huge))
 
 
 class TestGainForCapacity:

@@ -133,6 +133,13 @@ class TestInputErrors:
         code, _, err = run(capsys, "certify", "--input", inst)
         assert code == 2
 
+    def test_integer_beyond_double_range(self, capsys):
+        inst = json.dumps({"c01": 1, "c02": 1, "c13": 1, "c23": 10**400})
+        code, out, err = run(capsys, "analyze", "--input", inst)
+        assert code == 2
+        assert out == ""
+        assert err == "error: c23 must be finite, got an integer too large for a float\n"
+
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])  # --input is required

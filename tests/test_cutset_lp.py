@@ -7,12 +7,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from diamond_relay import (
     DomainError,
+    LinkCapacities,
+    SweepConfig,
     cut_values,
+    derive_capacities,
     induced_capacities,
     solve_bound,
     sr_rate_min_form,
 )
-from oracles import grid_oracle_bound, grid_oracle_bound_naive, min_cut
+from diamond_relay.experiments import sample_instance
+from oracles import (
+    DIFFERENTIAL_FAMILIES,
+    differential_check,
+    differential_corpus,
+    grid_oracle_bound,
+    grid_oracle_bound_naive,
+    min_cut,
+)
 
 cap = st.floats(min_value=1e-3, max_value=30.0, allow_nan=False)
 cap_or_zero = st.one_of(st.just(0.0), cap)
@@ -164,3 +175,82 @@ class TestAgainstGridOracle:
         fast = grid_oracle_bound(caps, 0.05)
         naive = grid_oracle_bound_naive(caps, 0.05)
         assert fast == pytest.approx(naive, abs=1e-12)
+
+
+class TestLocatedSelection:
+    """solve_bound solves only the active sets it proves can win; it must
+    answer exactly as its selection over all 70 sets does."""
+
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_matches_the_selection_over_all_sets(self, family):
+        mismatches, paths = differential_check(differential_corpus(family, 2000))
+        assert mismatches == 0, paths
+        assert paths["one"] + paths["several"] >= 800, paths
+
+    @pytest.mark.parametrize(
+        "caps, path",
+        [
+            (derive_capacities(sample_instance(SweepConfig(n_samples=1, seed=0), 0)), "one"),
+            (caps_of(2.0, 3.0, 3.0, 2.0), "several"),
+            (caps_of(0.0, 2.0, 1.0, 2.0), "all"),
+            # a degenerate optimum at low scale: a far vertex that breaks cut 3
+            # by 1.3e-10, inside the absolute feasibility slack, outbids it
+            (
+                LinkCapacities(
+                    c01=0.00183104963683072,
+                    c02=0.044420118488477725,
+                    c13=13.14819083628531,
+                    c23=6.186055772923658e-06,
+                    c012=0.046195683924911295,
+                    c123=13.148253540407394,
+                ),
+                "all",
+            ),
+            # the same with c23 = 2.1e-6 next to c13 = 14; only the least-link
+            # rule of the degenerate case declines it
+            (
+                caps_of(
+                    0.002137712111394603, 0.013887664254337278,
+                    14.007166743974881, 2.119474167625568e-06,
+                ),
+                "all",
+            ),
+            # a non-degenerate optimum whose margins are too thin for the slack
+            (
+                LinkCapacities(
+                    c01=0.01972466563615255,
+                    c02=1.208901766861331e-07,
+                    c13=0.0003111329555682936,
+                    c23=0.9523718549965116,
+                    c012=0.019724784884754612,
+                    c123=0.9735521776470308,
+                ),
+                "all",
+            ),
+            # at this scale the determinant screen drops the located set
+            (
+                LinkCapacities(
+                    c01=1.7396568611968434e-05,
+                    c02=5.891863795151713e-06,
+                    c13=2.1429232392145314e-06,
+                    c23=4.371521919141887e-06,
+                    c012=1.739705666107379e-05,
+                    c123=5.340700607703695e-06,
+                ),
+                "fallback",
+            ),
+        ],
+        ids=[
+            "rayleigh",
+            "caps_2332",
+            "zero_link",
+            "low_scale_degenerate",
+            "weak_link_degenerate",
+            "thin_margin",
+            "screened_out",
+        ],
+    )
+    def test_each_path_on_a_pinned_input(self, caps, path):
+        mismatches, paths = differential_check([caps])
+        assert mismatches == 0
+        assert paths[path] == 1, paths

@@ -266,6 +266,17 @@ class TestCertify:
         assert report.capacity_certified
         assert report.bound == pytest.approx(solve_bound(caps).bound)
 
+    def test_clamped_tie_keeps_the_bound(self):
+        """A tied vertex with t1 = -3.4e-10, inside the feasibility slack,
+        ranks first in the tie-break. Clamping t1 to 0 would cost 1.4e-9 of
+        the bound and put it below the achievable rate, so the next tied
+        vertex is taken."""
+        caps = caps_of(8.060851863018604, 0.00024069706461576419, 4.364845424989258, 0.0)
+        report = certify_capacities(caps)
+        assert report.gap == 0.0
+        assert report.bound == report.r_sr
+        assert not report.capacity_certified
+
     def test_bound_below_rate_is_a_typed_defect(self, monkeypatch):
         caps = caps_of(2.0, 3.0, 3.0, 2.0)
         rate = sr_rate_min_form(caps).r_sr
