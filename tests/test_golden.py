@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import diamond_relay
 from diamond_relay.cli import main
 
 SWEEPS = {
@@ -73,6 +74,31 @@ BAD_INPUTS = [
 ]
 
 
+PUBLIC_NAMES = [
+    "ChannelSpec", "ConditionError", "Conditioning", "CutSetSolution",
+    "DegenerateDenominatorError", "DiamondRelayError", "DomainError",
+    "ExponentialUnitMean", "FeasibilityError", "HypothesisError", "InvariantError",
+    "LemmaCase", "LinkCapacities", "LogUniform", "NegativeGapError",
+    "OptimalityReport", "PerturbationSpec", "SrRateResult", "SweepConfig",
+    "SweepRecord", "Winner", "__version__", "certify", "certify_capacities",
+    "classify", "cut_values", "derive_capacities", "gain_for_capacity",
+    "induced_capacities", "iter_records", "link_capacity", "normalized_form",
+    "perturbation_check", "predicted_rate", "product_condition_holds", "run_sweep",
+    "sample_instance", "solve_bound", "sr_rate_closed_form", "sr_rate_min_form",
+    "summarize", "t_star", "time_fractions", "write_records_csv",
+    "write_summary_json",
+]
+
+HELP = {
+    # subcommand (None for the top level): --help stdout sha256 at 80 columns
+    None: "be8b000dfc183cef0ae2763aad2d97e771946a9389ee18df92937ec38eb96ede",
+    "analyze": "935d03dbbbd932450e3888f112ea78936e99847ba308ee11d67978709d2f2cc7",
+    "bound": "98704aa2f9f7b3b0fc79948eef8667ac0cda20ffdfebe89778bcf4adabe52fcb",
+    "certify": "930821e6ad5ef909016359af9649bc6aa1fa5095c162ec84103180dc6f225858",
+    "sweep": "a937652950303931e1dbced09c7155cf49495048ec625fdc59b57fe6798db2e7",
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -110,3 +136,18 @@ def test_bad_input_reports_are_pinned(capsys, data, message):
     code = main(["certify", "--input", json.dumps(data)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", message)
+
+
+def test_public_names_are_pinned():
+    assert sorted(diamond_relay.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        getattr(diamond_relay, name)
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    out = capsys.readouterr().out
+    assert (exit_info.value.code, sha256(out.encode())) == (0, HELP[command]), out
