@@ -8,105 +8,19 @@ condition under which the two coincide so the capacity of an instance is known
 exactly.
 """
 
-from .channel_model import (
-    ChannelSpec,
-    LinkCapacities,
-    derive_capacities,
-    gain_for_capacity,
-    induced_capacities,
-    link_capacity,
-)
-from .cutset_lp import CutSetSolution, cut_values, solve_bound
-from .errors import (
-    ConditionError,
-    DegenerateDenominatorError,
-    DiamondRelayError,
-    DomainError,
-    FeasibilityError,
-    HypothesisError,
-    InvariantError,
-    NegativeGapError,
-)
-from .experiments import (
-    Conditioning,
-    ExponentialUnitMean,
-    LogUniform,
-    SweepConfig,
-    SweepRecord,
-    iter_records,
-    run_sweep,
-    sample_instance,
-    summarize,
-    write_records_csv,
-    write_summary_json,
-)
-from .optimality import (
-    LemmaCase,
-    OptimalityReport,
-    PerturbationSpec,
-    certify,
-    certify_capacities,
-    classify,
-    perturbation_check,
-    predicted_rate,
-    product_condition_holds,
-    t_star,
-)
-from .sr_rate import (
-    SrRateResult,
-    Winner,
-    normalized_form,
-    sr_rate_closed_form,
-    sr_rate_min_form,
-    time_fractions,
-)
+from . import channel_model, cutset_lp, errors, experiments, optimality, sr_rate
+from .channel_model import *  # noqa: F403
+from .cutset_lp import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .optimality import *  # noqa: F403
+from .sr_rate import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its public list; the package exports their union
 __all__ = [
-    "ChannelSpec",
-    "ConditionError",
-    "Conditioning",
-    "CutSetSolution",
-    "DegenerateDenominatorError",
-    "DiamondRelayError",
-    "DomainError",
-    "ExponentialUnitMean",
-    "FeasibilityError",
-    "HypothesisError",
-    "InvariantError",
-    "LemmaCase",
-    "LinkCapacities",
-    "LogUniform",
-    "NegativeGapError",
-    "OptimalityReport",
-    "PerturbationSpec",
-    "SrRateResult",
-    "SweepConfig",
-    "SweepRecord",
-    "Winner",
-    "certify",
-    "certify_capacities",
-    "classify",
-    "cut_values",
-    "derive_capacities",
-    "gain_for_capacity",
-    "induced_capacities",
-    "iter_records",
-    "link_capacity",
-    "normalized_form",
-    "perturbation_check",
-    "predicted_rate",
-    "product_condition_holds",
-    "run_sweep",
-    "sample_instance",
-    "solve_bound",
-    "sr_rate_closed_form",
-    "sr_rate_min_form",
-    "summarize",
-    "t_star",
-    "time_fractions",
-    "write_records_csv",
-    "write_summary_json",
-    "__version__",
-]
+    name
+    for module in (channel_model, cutset_lp, errors, experiments, optimality, sr_rate)
+    for name in module.__all__
+] + ["__version__"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainError
 
@@ -52,6 +52,16 @@ def _checked_value(
     if low is not None and (value <= low if strict else value < low):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value}")
     return value
+
+
+def _checked_keys(kind: str, data: Mapping, known: Iterable, required: Iterable) -> None:
+    """Reject keys of data outside known, then required keys missing from it."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise DomainError(f"unknown {kind} field(s): {', '.join(unknown)}")
+    missing = sorted(set(required) - set(data))
+    if missing:
+        raise DomainError(f"missing {kind} field(s): {', '.join(missing)}")
 
 
 def plain_dict(obj: object) -> dict[str, object]:
@@ -127,12 +137,7 @@ class ChannelSpec:
     def from_dict(cls, data: Mapping[str, object]) -> "ChannelSpec":
         """Build from a flat mapping; unknown and missing keys are rejected."""
         names = [field.name for field in fields(cls)]
-        unknown = sorted(set(data) - set(names))
-        if unknown:
-            raise DomainError(f"unknown channel spec field(s): {', '.join(unknown)}")
-        missing = sorted(set(names) - set(data))
-        if missing:
-            raise DomainError(f"missing channel spec field(s): {', '.join(missing)}")
+        _checked_keys("channel spec", data, names, names)
         return cls(**{name: data[name] for name in names})  # type: ignore[arg-type]
 
 

@@ -15,9 +15,15 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
-from .channel_model import ChannelSpec, LinkCapacities, derive_capacities, induced_capacities
+from .channel_model import (
+    ChannelSpec,
+    LinkCapacities,
+    _checked_keys,
+    derive_capacities,
+    induced_capacities,
+)
 from .cutset_lp import solve_bound
 from .errors import DiamondRelayError, DomainError
 from .experiments import (
@@ -43,11 +49,7 @@ _SPEC_FIELDS = frozenset(field.name for field in fields(ChannelSpec))
 _CAPACITY_FIELDS = frozenset(field.name for field in fields(LinkCapacities))
 _LINK_FIELDS = _CAPACITY_FIELDS - {"c012", "c123"}
 
-_CONDITIONING_BY_FLAG = {
-    "unconditioned": Conditioning.UNCONDITIONED,
-    "force-product-equal": Conditioning.FORCE_PRODUCT_EQUAL,
-    "force-mirrored": Conditioning.FORCE_MIRRORED,
-}
+_CONDITIONING_BY_FLAG = {mode.value.replace("_", "-"): mode for mode in Conditioning}
 
 
 def _load_input(raw: str) -> dict[str, object]:
@@ -75,12 +77,7 @@ def _capacities_from_input(data: dict[str, object]) -> LinkCapacities:
     if _SPEC_FIELDS & set(data):
         return derive_capacities(ChannelSpec.from_dict(data))
     if _CAPACITY_FIELDS & set(data):
-        unknown = sorted(set(data) - _CAPACITY_FIELDS)
-        if unknown:
-            raise DomainError(f"unknown capacity field(s): {', '.join(unknown)}")
-        missing = sorted(_LINK_FIELDS - set(data))
-        if missing:
-            raise DomainError(f"missing capacity field(s): {', '.join(missing)}")
+        _checked_keys("capacity", data, _CAPACITY_FIELDS, _LINK_FIELDS)
         return induced_capacities(**data)  # type: ignore[arg-type]
     raise DomainError(
         "input must be a channel spec (g01, ..., p_r2) or link capacities (c01, c02, c13, c23)"
@@ -119,24 +116,28 @@ def _write_payload(payload: dict[str, object], args: argparse.Namespace) -> None
             writer.writerow([_csv_cell(v) for v in flat.values()])
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    caps = _capacities_from_input(_load_input(args.input))
-    rate = sr_rate_min_form(caps)
-    _write_payload({"capacities": caps.to_dict(), "sr_rate": rate.to_dict()}, args)
-    return EXIT_OK
+def _analyze(caps: LinkCapacities) -> tuple[dict[str, object], int]:
+    return {"capacities": caps.to_dict(), "sr_rate": sr_rate_min_form(caps).to_dict()}, EXIT_OK
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
-    caps = _capacities_from_input(_load_input(args.input))
-    _write_payload(solve_bound(caps).to_dict(), args)
-    return EXIT_OK
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    caps = _capacities_from_input(_load_input(args.input))
+def _certify(caps: LinkCapacities) -> tuple[dict[str, object], int]:
     report = certify_capacities(caps)
-    _write_payload(report.to_dict(), args)
-    return EXIT_OK if report.capacity_certified else EXIT_UNCERTIFIED
+    return report.to_dict(), EXIT_OK if report.capacity_certified else EXIT_UNCERTIFIED
+
+
+# (subcommand, help, report): report maps an instance to (payload, exit code)
+_INSTANCE_COMMANDS = (
+    ("analyze", "link capacities and the achievable rate", _analyze),
+    ("bound", "half-duplex cut-set upper bound",
+     lambda caps: (solve_bound(caps).to_dict(), EXIT_OK)),
+    ("certify", "check whether the alternating schedule achieves the bound", _certify),
+)
+
+
+def _cmd_instance(args: argparse.Namespace) -> int:
+    payload, code = args.report(_capacities_from_input(_load_input(args.input)))
+    _write_payload(payload, args)
+    return code
 
 
 def _parse_distribution(text: str) -> ExponentialUnitMean | LogUniform:
@@ -177,16 +178,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_instance_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--input",
-        required=True,
-        help="channel instance: path to a JSON file, inline JSON, or - for stdin",
-    )
-    parser.add_argument("--output", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diamond-relay",
@@ -197,19 +188,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("analyze", help="link capacities and the achievable rate")
-    _add_instance_io(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("bound", help="half-duplex cut-set upper bound")
-    _add_instance_io(p)
-    p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser(
-        "certify", help="check whether the alternating schedule achieves the bound"
-    )
-    _add_instance_io(p)
-    p.set_defaults(handler=_cmd_certify)
+    for name, text, report in _INSTANCE_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument(
+            "--input",
+            required=True,
+            help="channel instance: path to a JSON file, inline JSON, or - for stdin",
+        )
+        p.add_argument("--output", default=None, help="write the report here instead of stdout")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(handler=_cmd_instance, report=report)
 
     p = sub.add_parser("sweep", help="seeded Monte Carlo sweep: CSV records plus a JSON summary")
     p.add_argument("--n", type=int, default=100, help="number of instances")

@@ -47,9 +47,9 @@ _TRUSTED = 1e6 * _FEASIBILITY_SLACK  # least link that lets locate trust a degen
 
 # Every choice of 4 active constraints out of 8 (cut rows first, then the
 # four nonnegativity rows); 70 candidate vertices in total.
-_ACTIVE_SETS = np.array(list(itertools.combinations(range(8), 4)), dtype=np.intp)
-_ALL_SETS = np.arange(len(_ACTIVE_SETS))
 _SET_INDEX = {s: i for i, s in enumerate(itertools.combinations(range(8), 4))}
+_ACTIVE_SETS = np.array(list(_SET_INDEX), dtype=np.intp)
+_ALL_SETS = np.arange(len(_ACTIVE_SETS))
 # rows 4-8 of a system table (t_j = 0, then the simplex row); each set's rows
 _STATE_ROWS = [tuple(float(i == j) for i in range(5)) for j in range(1, 5)] + [(0.0,) + (1.0,) * 4]
 _SYSTEMS = np.column_stack([_ACTIVE_SETS, np.full(len(_ACTIVE_SETS), 8)])
@@ -117,6 +117,11 @@ def cut_values(
     )
 
 
+def _roundoff(scale: float) -> float:
+    """Roundoff of a LAPACK vertex and of the matmul on cut entries up to scale."""
+    return 1e-12 * (1.0 + scale)
+
+
 def _adjugate(b) -> list[list[float]]:
     """adj(b) of a 1x1 to 4x4 matrix, so that b @ adj(b) = det(b) I."""
     if len(b) < 3:
@@ -174,7 +179,7 @@ def _locate(rows) -> list[int] | None:
             break
     else:
         return None
-    noise = 1e-12 * (1.0 + scale)  # roundoff of a LAPACK vertex and of the matmul
+    noise = _roundoff(scale)
     eps = _FEASIBILITY_SLACK + noise
     window = 2 * _TIE_REL_TOL * max(1.0, v) + noise
     tight = [i for i in range(4) if slack[i] <= tol] + [4 + j for j in range(4) if t[j] <= _ZERO]
@@ -221,7 +226,7 @@ def _select(caps: LinkCapacities, rows, sets) -> tuple[tuple[float, ...], tuple[
     x = np.linalg.solve(a[screen], _RHS)[:, :, 0]
     x = x[np.isfinite(x).all(axis=1)]
     # the matmul's last bit depends on the batch size: a subset keeps clear of it
-    low, guard, feasible = -_FEASIBILITY_SLACK, 1e-12 * (1.0 + max(map(max, rows))), []
+    low, guard, feasible = -_FEASIBILITY_SLACK, _roundoff(max(map(max, rows))), []
     for row, cuts in zip(x.tolist(), (x[:, 1:] @ np.array(rows).T).tolist()):
         rate, t1, t2, t3, t4 = row
         if t1 >= low and t2 >= low and t3 >= low and t4 >= low:
@@ -237,12 +242,13 @@ def _select(caps: LinkCapacities, rows, sets) -> tuple[tuple[float, ...], tuple[
     best = max(row[0] for row in feasible)
     floor = best - _TIE_REL_TOL * max(1.0, abs(best))
     # round to 12 decimals so vertices that differ only by solve noise tie,
-    # then prefer small t1, then t4, then t2 (a stable sort). np.round(x, 12)
-    # is rint(x * 1e12) / 1e12 and sorts as rint(x * 1e12); round(x, 12) does not
+    # then prefer small t in _TIE_ORDER (a stable sort). np.round(x, 12) is
+    # rint(x * 1e12) / 1e12 and sorts as rint(x * 1e12); round(x, 12) does not
+    k1, k2, k3, k4 = (1 + j for j in _TIE_ORDER)  # a row is (rate, t1, t2, t3, t4)
     ranked = sorted(
         (row for row in feasible if row[0] >= floor),
-        key=lambda r: (round(r[1] * 1e12), round(r[4] * 1e12), round(r[2] * 1e12),
-                       round(r[3] * 1e12)),
+        key=lambda r: (round(r[k1] * 1e12), round(r[k2] * 1e12), round(r[k3] * 1e12),
+                       round(r[k4] * 1e12)),
     )
     first = None
     for row in ranked:

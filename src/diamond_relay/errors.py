@@ -7,6 +7,17 @@ NegativeGapError mean a defect in the package itself; they are not value
 errors, so they surface as a traceback.
 """
 
+__all__ = [
+    "DiamondRelayError",
+    "DomainError",
+    "DegenerateDenominatorError",
+    "HypothesisError",
+    "ConditionError",
+    "FeasibilityError",
+    "InvariantError",
+    "NegativeGapError",
+]
+
 
 class DiamondRelayError(ValueError):
     """Base class for invalid inputs to any operation in this package."""

@@ -32,8 +32,6 @@ from .errors import DomainError
 from .optimality import LemmaCase, certify_capacities
 
 __all__ = [
-    "RNG_ALGORITHM",
-    "CSV_HEADER",
     "ExponentialUnitMean",
     "LogUniform",
     "Conditioning",

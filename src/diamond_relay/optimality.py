@@ -109,11 +109,11 @@ class PerturbationSpec:
             )
 
 
-def product_condition_holds(caps: LinkCapacities, tol: float = _PRODUCT_TOL) -> bool:
-    """True when c01*c02 and c13*c23 agree within relative tolerance."""
+def product_condition_holds(caps: LinkCapacities) -> bool:
+    """True when c01*c02 and c13*c23 agree within 1e-9 relative."""
     p_source = caps.c01 * caps.c02
     p_relay = caps.c13 * caps.c23
-    return abs(p_source - p_relay) <= tol * max(p_source, p_relay)
+    return abs(p_source - p_relay) <= _PRODUCT_TOL * max(p_source, p_relay)
 
 
 def _require_positive_links(caps: LinkCapacities) -> None:
@@ -124,7 +124,7 @@ def _require_positive_links(caps: LinkCapacities) -> None:
             )
 
 
-def classify(caps: LinkCapacities, tol: float = _PRODUCT_TOL) -> LemmaCase:
+def classify(caps: LinkCapacities) -> LemmaCase:
     """Which equal-branch condition the instance satisfies, if any.
 
     The two branch rates coincide exactly when one of three conditions holds,
@@ -135,22 +135,19 @@ def classify(caps: LinkCapacities, tol: float = _PRODUCT_TOL) -> LemmaCase:
     2. the source sides match, c01 = c02, with c01*c02 <= c13*c23;
     3. the relay sides match, c13 = c23, with c01*c02 >= c13*c23.
 
-    All comparisons use the given relative tolerance.
+    All comparisons use a 1e-9 relative tolerance.
 
     Raises:
-        DomainError: if tol is outside (0, 1e-3].
         HypothesisError: if any link capacity is 0.
     """
-    if not 0.0 < tol <= 1e-3:
-        raise DomainError(f"tol must be in (0, 1e-3], got {tol}")
     _require_positive_links(caps)
-    if product_condition_holds(caps, tol):
+    if product_condition_holds(caps):
         return LemmaCase.PRODUCT_EQUAL
     p_source = caps.c01 * caps.c02
     p_relay = caps.c13 * caps.c23
-    if abs(caps.c01 - caps.c02) <= tol * max(caps.c01, caps.c02) and p_source <= p_relay:
+    if abs(caps.c01 - caps.c02) <= _PRODUCT_TOL * max(caps.c01, caps.c02) and p_source <= p_relay:
         return LemmaCase.SOURCE_SIDES_EQUAL
-    if abs(caps.c13 - caps.c23) <= tol * max(caps.c13, caps.c23) and p_source >= p_relay:
+    if abs(caps.c13 - caps.c23) <= _PRODUCT_TOL * max(caps.c13, caps.c23) and p_source >= p_relay:
         return LemmaCase.RELAY_SIDES_EQUAL
     return LemmaCase.NONE
 
@@ -269,21 +266,18 @@ def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
         )
 
     condition = product_condition_holds(caps)
-    positive = min(caps.c01, caps.c02, caps.c13, caps.c23) > 0.0
-    warning = None
-    if positive:
+    warning = prediction = star = None
+    try:
         case = classify(caps)
-        prediction = predicted_rate(caps, case) if case is not LemmaCase.NONE else None
-    else:
+    except HypothesisError:
         case = LemmaCase.NONE
-        prediction = None
         warning = (
             "zero-capacity link: equal-branch conditions assume all four "
             "link capacities are positive"
         )
-
-    star = None
-    if condition and positive:
+    if case is not LemmaCase.NONE:
+        prediction = predicted_rate(caps, case)
+    if case is LemmaCase.PRODUCT_EQUAL:
         star = t_star(caps)
         star_cuts = cut_values(caps, star)
         spread = max(star_cuts) - min(star_cuts)

@@ -170,6 +170,11 @@ class TestInducedCapacities:
     def test_rejects_capacity_too_large_for_snr(self):
         with pytest.raises(DomainError, match="too large"):
             induced_capacities(1.0, 2000.0, 1.0, 1.0)
+        # each SNR is finite, their combination is not
+        with pytest.raises(DomainError, match="c01 and c02 are too large to combine"):
+            induced_capacities(1023.5, 1023.5, 1, 1)
+        with pytest.raises(DomainError, match="c13 and c23 are too large to combine"):
+            induced_capacities(1, 1, 1023.5, 1023.5)
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(DomainError):

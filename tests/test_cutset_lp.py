@@ -97,6 +97,10 @@ class TestCutValues:
         with pytest.raises(DomainError):
             cut_values(caps_of(1.0, 1.0, 1.0, 1.0), (0.5, 0.5))
 
+    def test_rejects_non_finite_weight(self):
+        with pytest.raises(DomainError, match="finite"):
+            cut_values(caps_of(1.0, 1.0, 1.0, 1.0), (float("nan"), 0.5, 0.5, 0.0))
+
     def test_accepts_tiny_negative_roundoff(self):
         values = cut_values(caps_of(1.0, 1.0, 1.0, 1.0), (-1e-12, 0.5, 0.5, 1e-12))
         assert len(values) == 4
@@ -239,6 +243,9 @@ class TestLocatedSelection:
                 ),
                 "fallback",
             ),
+            # cut entries in the thousands: the located set's vertex sits within
+            # the selection's roundoff guard of the feasibility limit
+            (LinkCapacities(2000.0, 3000.0, 3000.0, 2000.0, 3500.0, 3500.0), "fallback"),
         ],
         ids=[
             "rayleigh",
@@ -248,6 +255,7 @@ class TestLocatedSelection:
             "weak_link_degenerate",
             "thin_margin",
             "screened_out",
+            "roundoff_guard",
         ],
     )
     def test_each_path_on_a_pinned_input(self, caps, path):

@@ -78,13 +78,24 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             small_config(seed=2**64)
 
+    def test_rejects_non_integer_seed(self):
+        for seed in (1.0, True, "1"):
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                small_config(seed=seed)
+
+    def test_rejects_foreign_distribution_and_conditioning(self):
+        with pytest.raises(DomainError, match="gain_distribution"):
+            small_config(gain_distribution="exponential")
+        with pytest.raises(DomainError, match="conditioning must be a Conditioning"):
+            small_config(conditioning="unconditioned")
+
     def test_rejects_zero_noise(self):
         for noise in [(1.0, 0.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0)]:
             with pytest.raises(DomainError, match="noise"):
                 small_config(noise=noise)
 
     def test_rejects_negative_power(self):
-        for power in [(1.0, -1.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0)]:
+        for power in [(1.0, -1.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0), (1.0, 1.0)]:
             with pytest.raises(DomainError, match="power_budget"):
                 small_config(power_budget=power)
 
@@ -117,6 +128,8 @@ class TestSampling:
             sample_instance(config, -1)
         with pytest.raises(DomainError):
             sample_instance(config, config.n_samples)
+        with pytest.raises(DomainError, match="index must be an integer"):
+            sample_instance(config, 1.0)
 
     def test_substreams_are_order_independent(self):
         """Each index owns its own counter block, so sampling index 7 alone
@@ -171,6 +184,10 @@ class TestRecordsAndSummary:
         assert summary["lemma_case_counts"]["product_equal"] == 20
         assert sum(summary["lemma_case_counts"].values()) == 20
         assert summary["conditioning"] == "force_product_equal"
+
+    def test_summary_of_no_records_is_refused(self):
+        with pytest.raises(DomainError, match="empty"):
+            summarize(small_config(), [])
 
     def test_summary_gap_stats(self):
         records, summary = run_sweep(small_config())

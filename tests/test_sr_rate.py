@@ -79,8 +79,10 @@ class TestFormsAgree:
         assert r2c == pytest.approx(res.r2, rel=1e-12, abs=1e-12)
 
     def test_closed_form_rejects_degenerate_branch(self):
-        with pytest.raises(DegenerateDenominatorError):
+        with pytest.raises(DegenerateDenominatorError, match=r"c13 \+ c01"):
             sr_rate_closed_form(caps_of(0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(DegenerateDenominatorError, match=r"c23 \+ c02"):
+            sr_rate_closed_form(caps_of(1.0, 0.0, 1.0, 0.0))
 
     def test_min_form_handles_degenerate_branch(self):
         # branch 1 has no working links at all; branch 2 still relays
