@@ -22,7 +22,10 @@ B = M[C, S] of the 4x4 cut matrix M, with t_S ~ B^-1 1; _locate scans the 69
 kernels in pure Python, certifies the optimal one and proves which active sets
 can win there. The selection (determinant screen, LAPACK solve, feasibility
 filter, tie-break) runs over those only, or over all 70 without a proof; the
-schedule stays LAPACK's, as the closed-form one moves its last digit.
+schedule stays LAPACK's, as the closed-form one moves its last digit. Every
+cut is evaluated by one function, _cuts, one candidate at a time, so the
+selection judges a candidate alike in any batch: only the determinant screen
+can make a located selection decline.
 """
 
 from __future__ import annotations
@@ -112,14 +115,12 @@ def cut_values(
         raise DomainError(f"t entries must be >= 0, got {t!r}")
     if abs(t1 + t2 + t3 + t4 - 1.0) > _T_INPUT_SLACK:
         raise DomainError(f"t must sum to 1, got sum = {t1 + t2 + t3 + t4}")
-    return tuple(  # type: ignore[return-value]
-        t1 * a + t2 * b + t3 * c + t4 * d for a, b, c, d in _cut_rows(caps)
-    )
+    return _cuts(_cut_rows(caps), t1, t2, t3, t4)  # type: ignore[return-value]
 
 
-def _roundoff(scale: float) -> float:
-    """Roundoff of a LAPACK vertex and of the matmul on cut entries up to scale."""
-    return 1e-12 * (1.0 + scale)
+def _cuts(rows, t1: float, t2: float, t3: float, t4: float) -> tuple[float, ...]:
+    """The cuts at one schedule; cut_values, _locate and _select all evaluate them here."""
+    return tuple([t1 * a + t2 * b + t3 * c + t4 * d for a, b, c, d in rows])
 
 
 def _adjugate(b) -> list[list[float]]:
@@ -168,8 +169,7 @@ def _locate(rows) -> list[int] | None:
         if min(t) < -_ZERO:
             continue
         v = sum([x * row[0] for x, row in zip(b[0], adj)]) / total
-        t1, t2, t3, t4 = t
-        slack = [p * t1 + q * t2 + r * t3 + s * t4 - v for p, q, r, s in rows]
+        slack = [cut - v for cut in _cuts(rows, *t)]
         if v <= tol or min(slack) < -tol:
             continue
         y = [sum(col) / total for col in zip(*adj)]
@@ -179,7 +179,7 @@ def _locate(rows) -> list[int] | None:
             break
     else:
         return None
-    noise = _roundoff(scale)
+    noise = 1e-12 * (1.0 + scale)  # roundoff of a LAPACK vertex and its cuts
     eps = _FEASIBILITY_SLACK + noise
     window = 2 * _TIE_REL_TOL * max(1.0, v) + noise
     tight = [i for i in range(4) if slack[i] <= tol] + [4 + j for j in range(4) if t[j] <= _ZERO]
@@ -216,7 +216,7 @@ def _locate(rows) -> list[int] | None:
     return [_SET_INDEX[s] for s in itertools.combinations(tight, 4)]
 
 
-def _select(caps: LinkCapacities, rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+def _select(rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
     """(t, cut values at t) of the best vertex over sets; None if all 70 could differ."""
     full = len(sets) == len(_ACTIVE_SETS)
     # each set's system over (rate, t1..t4): rate - cut_i = 0 or t_j = 0, sum t = 1
@@ -225,15 +225,11 @@ def _select(caps: LinkCapacities, rows, sets) -> tuple[tuple[float, ...], tuple[
     screen = np.abs(np.linalg.det(a)) > 1e-10 * np.sqrt((a * a).sum(axis=2)).prod(axis=1)
     x = np.linalg.solve(a[screen], _RHS)[:, :, 0]
     x = x[np.isfinite(x).all(axis=1)]
-    # the matmul's last bit depends on the batch size: a subset keeps clear of it
-    low, guard, feasible = -_FEASIBILITY_SLACK, _roundoff(max(map(max, rows))), []
-    for row, cuts in zip(x.tolist(), (x[:, 1:] @ np.array(rows).T).tolist()):
+    low, feasible = -_FEASIBILITY_SLACK, []
+    for row in x.tolist():
         rate, t1, t2, t3, t4 = row
         if t1 >= low and t2 >= low and t3 >= low and t4 >= low:
-            limit = min(cuts) + _FEASIBILITY_SLACK
-            if not full and abs(rate - limit) <= guard:
-                return None
-            if rate <= limit:
+            if rate <= min(_cuts(rows, t1, t2, t3, t4)) + _FEASIBILITY_SLACK:
                 feasible.append(row)
     if not feasible:
         if full:  # the simplex is nonempty and compact
@@ -256,7 +252,7 @@ def _select(caps: LinkCapacities, rows, sets) -> tuple[tuple[float, ...], tuple[
         t = [v if v > 0.0 else 0.0 for v in row[1:]]
         total = ((t[0] + t[1]) + t[2]) + t[3]
         t_final = tuple(v / total for v in t)
-        values = cut_values(caps, t_final)
+        values = _cuts(rows, *t_final)
         first = first or (t_final, values)
         if min(values) >= floor:  # else clamping lost the tie window: next
             return t_final, values
@@ -274,8 +270,8 @@ def solve_bound(caps: LinkCapacities) -> CutSetSolution:
     """
     rows = _cut_rows(caps)
     sets = _locate(rows)
-    chosen = None if sets is None else _select(caps, rows, sets)
-    t, values = chosen or _select(caps, rows, _ALL_SETS)
+    chosen = None if sets is None else _select(rows, sets)
+    t, values = chosen or _select(rows, _ALL_SETS)
     bound = min(values)
     tol = _BINDING_REL_TOL * max(1.0, bound)
     binding = frozenset(i + 1 for i, v in enumerate(values) if v - bound <= tol)

@@ -118,6 +118,11 @@ class Conditioning(enum.Enum):
     FORCE_MIRRORED = "force_mirrored"
 
 
+def _checked_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _checked_triple(name: str, values: object, strict: bool) -> tuple[float, float, float]:
     try:
         a, b, c = values  # type: ignore[misc]
@@ -140,12 +145,10 @@ class SweepConfig:
     conditioning: Conditioning = Conditioning.UNCONDITIONED
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, int):
-            raise DomainError(f"n_samples must be an integer, got {self.n_samples!r}")
+        _checked_int("n_samples", self.n_samples)
         if self.n_samples < 1:
             raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        _checked_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be in [0, 2^64), got {self.seed}")
         if not isinstance(self.gain_distribution, (ExponentialUnitMean, LogUniform)):
@@ -205,8 +208,7 @@ def _draw_gain(gen: np.random.Generator, dist: ExponentialUnitMean | LogUniform)
 
 def sample_instance(config: SweepConfig, index: int) -> ChannelSpec:
     """The instance at one sweep slot; depends only on (config.seed, index)."""
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise DomainError(f"index must be an integer, got {index!r}")
+    _checked_int("index", index)
     if not 0 <= index < config.n_samples:
         raise DomainError(
             f"index must be in [0, {config.n_samples}), got {index}"

@@ -5,13 +5,21 @@ problems rather than the closed forms the package uses: the achievable rate
 as a brute-force search over the phase split, and the scheduling bound as a
 grid search over the time-sharing simplex. Slow and obvious on purpose.
 
+exact_bound solves the same LP in rational arithmetic: the reference for
+how far solve_bound's float answer is from the true optimum.
+
 The differential check at the end holds solve_bound to its own selection
-over all 70 active sets, on seeded corpora; `python tests/oracles.py N` runs
-it on N instances of each family.
+over all 70 active sets, on seeded corpora, optionally scaled;
+`python tests/oracles.py N [SCALE]` runs it on N instances of each family.
+Both runs judge each candidate vertex on its own, with the same cut
+evaluator, so the located run can decline only when the determinant screen
+drops the located set.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -130,13 +138,61 @@ def grid_oracle_bound(caps: LinkCapacities, step: float = 1e-3) -> float:
     return float(max(cut_at(x).max() for x in candidates))
 
 
+def exact_bound(caps: LinkCapacities) -> Fraction:
+    """The LP optimum of the float instance, exactly.
+
+    Every choice of four tight constraints among the eight (rate = cut i,
+    t_j = 0), with the simplex row, is a 5x5 system in (rate, t1..t4); it is
+    solved in Fraction arithmetic, which converts each float exactly, and the
+    best rate over the exactly feasible vertices is the optimum. No
+    tolerance anywhere; about 35 ms an instance.
+    """
+    c01, c02, c13, c23, c012, c123 = map(Fraction, caps.to_dict().values())
+    cuts = (
+        (c012, c02, c01, 0),
+        (c02, c02 + c13, 0, c13),
+        (c01, 0, c01 + c23, c23),
+        (0, c13, c23, c123),
+    )
+    # the eight constraints as rows over (rate, t1..t4 | right-hand side)
+    constraints = [[1, *(-m for m in cut), 0] for cut in cuts]
+    constraints += [[int(k == j) for k in range(6)] for j in range(1, 5)]
+    best = None
+    for active in itertools.combinations(constraints, 4):
+        x = _solve_exact([*active, [0, 1, 1, 1, 1, 1]])
+        if x is None or min(x[1:]) < 0:
+            continue
+        rate, t = x[0], x[1:]
+        if all(rate <= sum(m * v for m, v in zip(cut, t)) for cut in cuts):
+            best = rate if best is None else max(best, rate)
+    return best
+
+
+def _solve_exact(rows) -> list[Fraction] | None:
+    """Gauss-Jordan in Fractions on an augmented n x (n + 1) system; None if singular."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [u - f * v for u, v in zip(a[r], a[col])]
+    return [a[r][n] / a[r][r] for r in range(n)]
+
+
 # -- solve_bound against the selection over all 70 active sets ------------
 
 DIFFERENTIAL_FAMILIES = ("unconditioned", "force_product_equal", "force_mirrored", "wide")
 
 
-def differential_corpus(family: str, n: int, seed: int = 0) -> list[LinkCapacities]:
-    """n seeded instances of one family.
+def differential_corpus(
+    family: str, n: int, seed: int = 0, scale: float = 1.0
+) -> list[LinkCapacities]:
+    """n seeded instances of one family, every capacity multiplied by scale.
 
     The three conditioning modes are sweep draws (exponential gains, unit
     powers and noise). "wide" draws log-uniform links on 1e-3..30 with 15 %
@@ -146,6 +202,11 @@ def differential_corpus(family: str, n: int, seed: int = 0) -> list[LinkCapaciti
     from diamond_relay import Conditioning, SweepConfig, derive_capacities, induced_capacities
     from diamond_relay.experiments import sample_instance
 
+    if scale != 1.0:
+        return [
+            LinkCapacities(**{k: scale * v for k, v in caps.to_dict().items()})
+            for caps in differential_corpus(family, n, seed)
+        ]
     if family != "wide":
         config = SweepConfig(n_samples=n, seed=seed, conditioning=Conditioning(family))
         return [derive_capacities(sample_instance(config, i)) for i in range(n)]
@@ -180,9 +241,9 @@ def differential_check(caps_list) -> tuple[int, dict[str, int]]:
     locate, select = cutset_lp._locate, cutset_lp._select
     calls: list[int] = []  # the number of sets in each selection of one solve
 
-    def counting_select(caps, rows, sets):
+    def counting_select(rows, sets):
         calls.append(len(sets))
-        return select(caps, rows, sets)
+        return select(rows, sets)
 
     def solve(caps, locating: bool) -> str:
         cutset_lp._locate = locate if locating else (lambda rows: None)
@@ -206,10 +267,12 @@ def differential_check(caps_list) -> tuple[int, dict[str, int]]:
 
 
 if __name__ == "__main__":
-    # python tests/oracles.py N: the differential check on N instances a family
+    # python tests/oracles.py N [SCALE]: the differential check on N instances
+    # a family, every capacity multiplied by SCALE (default 1)
     import sys
 
     size = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
+    factor = float(sys.argv[2]) if len(sys.argv) > 2 else 1.0
     for name in DIFFERENTIAL_FAMILIES:
-        bad, counts = differential_check(differential_corpus(name, size))
-        print(f"{name}: {size} instances, {bad} mismatches, paths {counts}", flush=True)
+        bad, counts = differential_check(differential_corpus(name, size, scale=factor))
+        print(f"{name} x{factor:g}: {size} instances, {bad} mismatches, paths {counts}", flush=True)
