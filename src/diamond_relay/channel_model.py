@@ -15,6 +15,7 @@ SNRs add) and the destination-side cut where both relays transmit coherently
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
@@ -52,6 +53,19 @@ def _checked_value(
     if low is not None and (value <= low if strict else value < low):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value}")
     return value
+
+
+def _checked_reals(
+    name: str, values: object, n: int, low: float | None = None, strict: bool = False
+) -> tuple[float, ...]:
+    """values as n floats, entry i checked by _checked_value under the name name[i]."""
+    try:  # n + 1 items at most, as unpacking takes: an endless iterator is refused
+        items = tuple(itertools.islice(values, n + 1))  # type: ignore[call-overload]
+    except (TypeError, ValueError):
+        items = ()
+    if len(items) != n:
+        raise DomainError(f"{name} must be {n} real numbers, got {values!r}")
+    return tuple(_checked_value(f"{name}[{i}]", v, low, strict) for i, v in enumerate(items))
 
 
 def _checked_keys(kind: str, data: Mapping, known: Iterable, required: Iterable) -> None:
@@ -130,8 +144,7 @@ class ChannelSpec:
             value = _checked_value(field.name, getattr(self, field.name), 0.0, strict)
             object.__setattr__(self, field.name, value)
 
-    def to_dict(self) -> dict[str, float]:
-        return plain_dict(self)  # type: ignore[return-value]
+    to_dict = plain_dict
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ChannelSpec":
@@ -170,8 +183,7 @@ class LinkCapacities:
                     f"the joint {side} cut cannot be weaker than its strongest link"
                 )
 
-    def to_dict(self) -> dict[str, float]:
-        return plain_dict(self)  # type: ignore[return-value]
+    to_dict = plain_dict
 
 
 def link_capacity(gain: float, power: float, noise_var: float) -> float:

@@ -24,8 +24,8 @@ can win there. The selection (determinant screen, LAPACK solve, feasibility
 filter, tie-break) runs over those only, or over all 70 without a proof; the
 schedule stays LAPACK's, as the closed-form one moves its last digit. Every
 cut is evaluated by one function, _cuts, one candidate at a time, so the
-selection judges a candidate alike in any batch: only the determinant screen
-can make a located selection decline.
+selection judges a candidate alike in any batch: a located selection
+declines only when it keeps no feasible vertex.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import LinkCapacities, plain_dict
+from .channel_model import LinkCapacities, _checked_reals, plain_dict
 from .errors import DomainError, InvariantError
 
 __all__ = ["CutSetSolution", "cut_values", "solve_bound"]
@@ -82,8 +82,7 @@ class CutSetSolution:
     cut_values: tuple[float, float, float, float]
     binding: frozenset[int]
 
-    def to_dict(self) -> dict[str, object]:
-        return plain_dict(self)
+    to_dict = plain_dict
 
 
 def _cut_rows(caps: LinkCapacities) -> tuple[tuple[float, float, float, float], ...]:
@@ -102,17 +101,10 @@ def cut_values(
     """Evaluate the four cuts at a schedule t = (t1, t2, t3, t4).
 
     Raises:
-        DomainError: if t is not 4 finite numbers, has an entry below
+        DomainError: if t is not 4 finite ints or floats, has an entry below
             -1e-9, or does not sum to 1 within 1e-9.
     """
-    try:
-        t1, t2, t3, t4 = (float(x) for x in t)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"t must be 4 real numbers, got {t!r}") from exc
-    if not all(math.isfinite(x) for x in (t1, t2, t3, t4)):
-        raise DomainError(f"t must be finite, got {t!r}")
-    if min(t1, t2, t3, t4) < -_T_INPUT_SLACK:
-        raise DomainError(f"t entries must be >= 0, got {t!r}")
+    t1, t2, t3, t4 = _checked_reals("t", t, 4, -_T_INPUT_SLACK)
     if abs(t1 + t2 + t3 + t4 - 1.0) > _T_INPUT_SLACK:
         raise DomainError(f"t must sum to 1, got sum = {t1 + t2 + t3 + t4}")
     return _cuts(_cut_rows(caps), t1, t2, t3, t4)  # type: ignore[return-value]
@@ -217,8 +209,7 @@ def _locate(rows) -> list[int] | None:
 
 
 def _select(rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-    """(t, cut values at t) of the best vertex over sets; None if all 70 could differ."""
-    full = len(sets) == len(_ACTIVE_SETS)
+    """(t, cut values at t) of the best vertex over sets; None if none is feasible."""
     # each set's system over (rate, t1..t4): rate - cut_i = 0 or t_j = 0, sum t = 1
     a = np.array([(1.0, -p, -q, -r, -s) for p, q, r, s in rows] + _STATE_ROWS)[_SYSTEMS[sets]]
     # skip singular sets: |det| against the row norms' Hadamard bound, scale-free
@@ -232,8 +223,6 @@ def _select(rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
             if rate <= min(_cuts(rows, t1, t2, t3, t4)) + _FEASIBILITY_SLACK:
                 feasible.append(row)
     if not feasible:
-        if full:  # the simplex is nonempty and compact
-            raise InvariantError("no feasible vertex found; enumeration is broken")
         return None
     best = max(row[0] for row in feasible)
     floor = best - _TIE_REL_TOL * max(1.0, abs(best))
@@ -256,7 +245,7 @@ def _select(rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
         first = first or (t_final, values)
         if min(values) >= floor:  # else clamping lost the tie window: next
             return t_final, values
-    return first if full else None
+    return first
 
 
 def solve_bound(caps: LinkCapacities) -> CutSetSolution:
@@ -271,7 +260,10 @@ def solve_bound(caps: LinkCapacities) -> CutSetSolution:
     rows = _cut_rows(caps)
     sets = _locate(rows)
     chosen = None if sets is None else _select(rows, sets)
-    t, values = chosen or _select(rows, _ALL_SETS)
+    chosen = chosen or _select(rows, _ALL_SETS)
+    if chosen is None:  # the simplex is nonempty and compact
+        raise InvariantError("no feasible vertex found; enumeration is broken")
+    t, values = chosen
     bound = min(values)
     tol = _BINDING_REL_TOL * max(1.0, bound)
     binding = frozenset(i + 1 for i, v in enumerate(values) if v - bound <= tol)

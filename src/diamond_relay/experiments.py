@@ -23,6 +23,7 @@ import numpy as np
 from .channel_model import (
     ChannelSpec,
     LinkCapacities,
+    _checked_reals,
     _checked_value,
     derive_capacities,
     gain_for_capacity,
@@ -123,16 +124,6 @@ def _checked_int(name: str, value: object) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
-def _checked_triple(name: str, values: object, strict: bool) -> tuple[float, float, float]:
-    try:
-        a, b, c = values  # type: ignore[misc]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be 3 real numbers, got {values!r}") from exc
-    return tuple(  # type: ignore[return-value]
-        _checked_value(f"{name}[{i}]", v, 0.0, strict) for i, v in enumerate((a, b, c))
-    )
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything a sweep depends on; records are a pure function of this."""
@@ -158,8 +149,8 @@ class SweepConfig:
             )
         if not isinstance(self.conditioning, Conditioning):
             raise DomainError(f"conditioning must be a Conditioning, got {self.conditioning!r}")
-        powers = _checked_triple("power_budget", self.power_budget, strict=False)
-        noises = _checked_triple("noise", self.noise, strict=True)
+        powers = _checked_reals("power_budget", self.power_budget, 3, 0.0)
+        noises = _checked_reals("noise", self.noise, 3, 0.0, strict=True)
         object.__setattr__(self, "power_budget", powers)
         object.__setattr__(self, "noise", noises)
         # both forced modes invert a capacity back to a gain, which needs power

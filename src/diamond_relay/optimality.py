@@ -78,8 +78,7 @@ class OptimalityReport:
     bound: float
     hypothesis_warning: str | None = None
 
-    def to_dict(self) -> dict[str, object]:
-        return plain_dict(self)
+    to_dict = plain_dict
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,11 @@ def predicted_rate(caps: LinkCapacities, lemma_case: LemmaCase) -> float:
     c02. Matching relay sides: c13.
 
     Raises:
+        DomainError: if lemma_case is not a LemmaCase.
         ConditionError: for the no-condition case.
     """
+    if not isinstance(lemma_case, LemmaCase):
+        raise DomainError(f"lemma_case must be a LemmaCase, got {lemma_case!r}")
     if lemma_case is LemmaCase.NONE:
         raise ConditionError("no equal-branch condition holds; there is no predicted rate")
     if lemma_case is LemmaCase.PRODUCT_EQUAL:

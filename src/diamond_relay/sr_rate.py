@@ -57,8 +57,7 @@ class SrRateResult:
     winner: Winner
     degenerate: bool
 
-    def to_dict(self) -> dict[str, object]:
-        return plain_dict(self)
+    to_dict = plain_dict
 
 
 def time_fractions(caps: LinkCapacities) -> tuple[float, float]:

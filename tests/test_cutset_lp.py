@@ -1,6 +1,7 @@
 """Scheduling bound solver: worked vertices, invariants, grid-search agreement."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from diamond_relay import (
     DomainError,
+    InvariantError,
     LinkCapacities,
     SweepConfig,
     cut_values,
@@ -102,6 +104,22 @@ class TestCutValues:
     def test_rejects_non_finite_weight(self):
         with pytest.raises(DomainError, match="finite"):
             cut_values(caps_of(1.0, 1.0, 1.0, 1.0), (float("nan"), 0.5, 0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            "1000",
+            ("0.25",) * 4,
+            b"abcd",
+            (True, False, False, False),
+            (Decimal("0.25"),) * 4,
+        ],
+        ids=["str", "str_entries", "bytes", "bools", "decimals"],
+    )
+    def test_rejects_what_is_not_int_or_float(self, t):
+        # every number the package takes is an int or a float, t's entries too
+        with pytest.raises(DomainError, match=r"^t(\[\d\])? must"):
+            cut_values(caps_of(1.0, 1.0, 1.0, 1.0), t)
 
     def test_accepts_tiny_negative_roundoff(self):
         values = cut_values(caps_of(1.0, 1.0, 1.0, 1.0), (-1e-12, 0.5, 0.5, 1e-12))
@@ -355,3 +373,24 @@ class TestAgainstExactBound:
         # the rate column of each 5x5 system stays 1 while the cut entries
         # grow, so |det| against the Hadamard bound shrinks like 1/scale
         assert solve_bound(caps).bound == pytest.approx(float(exact_bound(caps)), rel=2e-12)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            1e9,
+            pytest.param(
+                1e10,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=InvariantError,
+                    reason="the absolute feasibility slack is below one ulp of the cuts "
+                    "and no vertex survives (ROADMAP direction 1)",
+                ),
+            ),
+        ],
+    )
+    def test_worked_instance_at_large_scale(self, scale):
+        # the paper's instance, whose bound is 2.4 at scale 1; at 1e10 each
+        # vertex's rate rounds above its least cut by more than the 1e-9 slack
+        caps = LinkCapacities(*(scale * c for c in (2.0, 3.0, 3.0, 2.0, 3.5, 3.5)))
+        assert solve_bound(caps).bound == pytest.approx(2.4 * scale, rel=1e-12)

@@ -97,6 +97,11 @@ class TestPredictedRate:
         with pytest.raises(ConditionError):
             predicted_rate(caps_of(1.0, 2.0, 4.0, 2.0), LemmaCase.NONE)
 
+    @pytest.mark.parametrize("case", ["none", None, "product_equal"])
+    def test_rejects_what_is_not_a_lemma_case(self, case):
+        with pytest.raises(DomainError, match="lemma_case must be a LemmaCase"):
+            predicted_rate(caps_of(2.0, 3.0, 3.0, 2.0), case)
+
     @given(c01=cap, c02=cap, c13=cap)
     def test_matches_achieved_rate_under_product_condition(self, c01, c02, c13):
         caps = product_matched(c01, c02, c13)
