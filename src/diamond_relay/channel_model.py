@@ -63,7 +63,8 @@ def _checked_reals(
         items = tuple(itertools.islice(values, n + 1))  # type: ignore[call-overload]
     except (TypeError, ValueError):
         items = ()
-    if len(items) != n:
+    # text and bytes iterate as characters and byte values, never as numbers
+    if len(items) != n or isinstance(values, (str, bytes, bytearray, memoryview)):
         raise DomainError(f"{name} must be {n} real numbers, got {values!r}")
     return tuple(_checked_value(f"{name}[{i}]", v, low, strict) for i, v in enumerate(items))
 

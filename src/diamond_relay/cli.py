@@ -4,6 +4,11 @@ Machine-readable output (JSON or flat CSV) goes to stdout or --output;
 everything human-oriented goes to stderr. Exit codes: 0 on success (and on a
 certified instance), 1 when certify ran fine but the instance is not
 certified, 2 on any input problem.
+
+sweep writes each CSV row as soon as its record is evaluated and keeps, per
+record, only the four fields the summary reads. A sweep that fails partway
+leaves no CSV and no summary at --output; on stdout, the rows already
+printed stay printed.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import contextlib
 import csv
 import json
 import sys
+from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .channel_model import (
     ChannelSpec,
@@ -31,6 +37,7 @@ from .experiments import (
     ExponentialUnitMean,
     LogUniform,
     SweepConfig,
+    SweepRecord,
     _csv_cell,
     iter_records,
     summarize,
@@ -157,6 +164,10 @@ def _parse_distribution(text: str) -> ExponentialUnitMean | LogUniform:
     )
 
 
+# what summarize reads of a record: a sweep keeps this much of each one
+_Kept = namedtuple("_Kept", "gap bound certified lemma_case")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(
         n_samples=args.n,
@@ -164,17 +175,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         gain_distribution=_parse_distribution(args.distribution),
         conditioning=_CONDITIONING_BY_FLAG[args.conditioning],
     )
-    records = list(iter_records(config))
-    summary = summarize(config, records)
-    if args.output is not None:
-        with open(args.output, "w", newline="") as stream:
-            write_records_csv(config, records, stream)
-        summary_path = Path(args.output).with_suffix(".summary.json")
-        with open(summary_path, "w") as stream:
-            write_summary_json(summary, stream)
-    else:
-        write_records_csv(config, records, sys.stdout)
-        write_summary_json(summary, sys.stderr)
+    kept: list[_Kept] = []
+
+    def records() -> Iterator[SweepRecord]:
+        for record in iter_records(config):
+            kept.append(_Kept(record.gap, record.bound, record.certified, record.lemma_case))
+            yield record
+
+    if args.output is None:
+        write_records_csv(config, records(), sys.stdout)
+        write_summary_json(summarize(config, kept), sys.stderr)
+        return EXIT_OK
+    csv_path = Path(args.output)
+    # opened outside the try: a file this sweep could not open is not its to remove
+    stream = open(csv_path, "w", newline="")
+    summary_path = csv_path.with_suffix(".summary.json")
+    try:
+        with stream:
+            write_records_csv(config, records(), stream)
+        with open(summary_path, "w") as summary:
+            write_summary_json(summarize(config, kept), summary)
+    except BaseException:
+        # an earlier run's summary would describe a CSV that is gone
+        csv_path.unlink(missing_ok=True)
+        summary_path.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

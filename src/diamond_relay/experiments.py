@@ -1,12 +1,16 @@
 """Seeded Monte Carlo sweeps over random diamond-channel instances.
 
-Record i of a sweep is a pure function of (seed, i): the generator for each
-record is a Philox counter stream opened 2^192 steps apart, so substreams
-never overlap and records may be evaluated in any order, in parallel, or one
-at a time, always with identical results. Gain draws go through explicit
-inverse-CDF transforms of the substream's uniforms, which keeps the mapping
-from bits to gains frozen no matter what numpy does to its distribution
-methods.
+Record i of a sweep is a pure function of (seed, i): its uniforms come from a
+Philox4x64-10 counter stream (Salmon et al. 2011) keyed by the seed, opened
+2^192 steps apart per record, so substreams never overlap and records may be
+evaluated in any order, in parallel, or one at a time, always with identical
+results. The stream is plain Python and gives, bit for bit, the doubles of
+numpy's Generator(Philox(key=seed, counter=i << 192)).random(): Philox is
+integer arithmetic on 64-bit words, which Python ints do exactly (each
+product in full, then masked to 64 bits), and each word w becomes
+(w >> 11)·2^-53 as in numpy, a 53-bit integer that converts to a double
+exactly. Gain draws go through explicit inverse-CDF transforms of those
+uniforms, so the whole mapping from seed to gains lives in this module.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .channel_model import (
     ChannelSpec,
@@ -79,6 +81,11 @@ _MAX_REJECTIONS = 100_000
 
 _MIN_UNIFORM = 2.0**-53  # keeps gains strictly positive
 
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al. 2011)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_M64 = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class ExponentialUnitMean:
@@ -137,8 +144,9 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         _checked_int("n_samples", self.n_samples)
-        if self.n_samples < 1:
-            raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
+        # record i's stream starts at counter i·2^192, and the counter holds 256 bits
+        if not 1 <= self.n_samples <= 2**64:
+            raise DomainError(f"n_samples must be in [1, 2^64], got {self.n_samples}")
         _checked_int("seed", self.seed)
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be in [0, 2^64), got {self.seed}")
@@ -184,14 +192,29 @@ class SweepRecord:
     certified: bool
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    # a counter jump of 2^192 per index leaves each substream 2^192 draws of
-    # headroom; substreams can never collide
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+def _substream(seed: int, index: int) -> Iterator[float]:
+    """The uniforms of numpy's Generator(Philox(key=seed, counter=index << 192)).random().
+
+    A counter jump of 2^192 per index leaves each substream 2^192 draws of
+    headroom, so substreams never collide. Each block bumps the counter, then
+    runs ten Philox4x64 rounds; each word w of the block gives (w >> 11)·2^-53.
+    """
+    keys = [((seed + r * _PHILOX_W0) & _M64, (r * _PHILOX_W1) & _M64) for r in range(10)]
+    counter = index << 192
+    while True:
+        counter += 1
+        c0, c1 = counter & _M64, (counter >> 64) & _M64
+        c2, c3 = (counter >> 128) & _M64, counter >> 192
+        for k0, k1 in keys:
+            p0 = _PHILOX_M0 * c0
+            p2 = _PHILOX_M1 * c2
+            c0, c1, c2, c3 = (p2 >> 64) ^ c1 ^ k0, p2 & _M64, (p0 >> 64) ^ c3 ^ k1, p0 & _M64
+        for word in (c0, c1, c2, c3):
+            yield (word >> 11) * 2.0**-53
 
 
-def _draw_gain(gen: np.random.Generator, dist: ExponentialUnitMean | LogUniform) -> float:
-    u = gen.random()
+def _draw_gain(gen: Iterator[float], dist: ExponentialUnitMean | LogUniform) -> float:
+    u = next(gen)
     if u < _MIN_UNIFORM:
         u = _MIN_UNIFORM
     return dist.sample(u)
@@ -281,9 +304,10 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
 def summarize(config: SweepConfig, records: Sequence[SweepRecord]) -> dict[str, object]:
     """Aggregate statistics over a sweep's records.
 
-    Uses exact summation (math.fsum) so the reduction is independent of
-    evaluation order; relative gaps are only aggregated where the bound is
-    meaningfully away from zero.
+    Reads only gap, bound, certified and lemma_case of each record. Uses
+    exact summation (math.fsum) so the reduction is independent of evaluation
+    order; relative gaps are only aggregated where the bound is meaningfully
+    away from zero.
     """
     if not records:
         raise DomainError("cannot summarize an empty record list")

@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, formats, inputs, exit codes."""
 
 import csv
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +220,54 @@ class TestSweep:
     def test_bad_seed_exits_two(self, capsys):
         code, _, err = run(capsys, "sweep", "--n", "2", "--seed", "-5")
         assert code == 2
+
+    @pytest.mark.parametrize("earlier_run", [False, True], ids=["fresh", "over_an_earlier_run"])
+    def test_failed_sweep_leaves_no_files(self, capsys, tmp_path, earlier_run):
+        dest = tmp_path / "F"
+        if earlier_run:
+            assert run(capsys, "sweep", "--n", "2", "--output", str(dest))[0] == 0
+        # log-uniform gains in [1e20, 1e21] imply c23 >= 63 > 50 on every draw
+        code, _, err = run(
+            capsys,
+            "sweep", "--n", "1", "--conditioning", "force-product-equal",
+            "--distribution", "log-uniform:1e20,1e21", "--output", str(dest),
+        )
+        assert code == 2
+        assert "rejected every draw" in err
+        assert not dest.exists()
+        assert not (tmp_path / "F.summary.json").exists()
+
+    def test_memory_per_record_is_small(self, capsys, tmp_path):
+        """Rows are written as they are made and a record leaves behind only
+        the four fields summarize reads: about 300 B a record between these
+        sizes, where keeping every SweepRecord cost about 940 B."""
+
+        def peak_bytes(n):
+            gc.collect()  # also empties the free lists, so each run starts alike
+            tracemalloc.start()
+            try:
+                code = main(["sweep", "--n", str(n), "--output", str(tmp_path / "s.csv")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak_bytes(20)  # first-call allocations happen here
+        per_record = (peak_bytes(2000) - peak_bytes(200)) / 1800
+        assert per_record < 500
+
+    def test_sweep_does_not_load_numpy_random(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from diamond_relay import cli\n"
+            f"assert cli.main(['sweep', '--n', '3', '--output', {str(tmp_path / 's.csv')!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

@@ -113,8 +113,9 @@ class TestCutValues:
             b"abcd",
             (True, False, False, False),
             (Decimal("0.25"),) * 4,
+            b"\x01\x00\x00\x00",  # iterates as the ints 1, 0, 0, 0
         ],
-        ids=["str", "str_entries", "bytes", "bools", "decimals"],
+        ids=["str", "str_entries", "bytes", "bools", "decimals", "bytes_of_a_vertex"],
     )
     def test_rejects_what_is_not_int_or_float(self, t):
         # every number the package takes is an int or a float, t's entries too

@@ -1,9 +1,11 @@
 """Seeded sweeps: reproducibility, conditioning guarantees, CSV/JSON output."""
 
 import io
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,7 @@ from diamond_relay import (
     write_records_csv,
     write_summary_json,
 )
+from diamond_relay.experiments import _substream
 
 CSV_HEADER = (
     "seed,index,g01,g02,g13,g23,c01,c02,c13,c23,c012,c123,"
@@ -66,6 +69,12 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             small_config(n_samples=0)
 
+    def test_rejects_more_samples_than_substreams(self):
+        # index 2^64 would need a Philox counter beyond 256 bits
+        small_config(n_samples=2**64)
+        with pytest.raises(DomainError, match=r"n_samples must be in \[1, 2\^64\]"):
+            small_config(n_samples=2**64 + 1)
+
     def test_rejects_bool_samples(self):
         with pytest.raises(DomainError):
             small_config(n_samples=True)
@@ -95,7 +104,10 @@ class TestSweepConfig:
                 small_config(noise=noise)
 
     def test_rejects_negative_power(self):
-        for power in [(1.0, -1.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0), (1.0, 1.0)]:
+        # b"\x01\x01\x01" iterates as the ints 1, 1, 1
+        for power in [
+            (1.0, -1.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0), (1.0, 1.0), b"\x01\x01\x01",
+        ]:
             with pytest.raises(DomainError, match="power_budget"):
                 small_config(power_budget=power)
 
@@ -165,6 +177,19 @@ class TestSampling:
         for record in iter_records(config):
             assert product_condition_holds(record.caps)
             assert record.certified
+
+
+class TestPhiloxStream:
+    """The pure-Python stream against numpy's Philox4x64-10, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 499, 2**40 + 3])
+    def test_matches_numpy_philox(self, seed, index):
+        reference = np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+        # 11 draws cross two 4-word block boundaries
+        expected = [reference.random() for _ in range(11)]
+        drawn = list(itertools.islice(_substream(seed, index), 11))
+        assert [d.hex() for d in drawn] == [e.hex() for e in expected]
 
 
 class TestRecordsAndSummary:
