@@ -14,18 +14,18 @@ links crossing it are active:
 The bound is the maximum over schedules of the minimum cut. With the rate
 adjoined as a fifth unknown this is a five-variable LP; the feasible set
 contains no line, so an optimum sits at a vertex where the simplex equality
-plus four of the eight inequalities (rate <= cut_i, t_j >= 0) are tight.
+plus four of the eight inequalities (rate <= cut_i, t_j >= 0) are tight, and
+an active set names a vertex by those four.
 
 solve_bound locates, certifies, then selects. By Shapley and Snow (1950,
 Basic solutions of discrete games) the optimum sits on a square kernel
-B = M[C, S] of the 4x4 cut matrix M, with t_S ~ B^-1 1; _locate scans the 69
-kernels in pure Python, certifies the optimal one and proves which active sets
-can win there. The selection (determinant screen, LAPACK solve, feasibility
-filter, tie-break) runs over those only, or over all 70 without a proof; the
-schedule stays LAPACK's, as the closed-form one moves its last digit. Every
-cut is evaluated by one function, _cuts, one candidate at a time, so the
-selection judges a candidate alike in any batch: a located selection
-declines only when it keeps no feasible vertex.
+B = M[C, S] of the 4x4 cut matrix M, with t_S ~ B^-1 1. _locate scans the 53
+kernels larger than 1x1 (a pure state leaves a cut at zero) in pure Python,
+certifies the optimal one and proves which active sets can win there. The
+selection (determinant screen, LAPACK solve, feasibility filter, tie-break)
+runs over those, or over all 70 without a proof, judging each candidate
+alone through _cuts; the schedule stays LAPACK's, as the closed-form one
+moves its last digit.
 """
 
 from __future__ import annotations
@@ -48,25 +48,25 @@ _TIE_REL_TOL = 1e-12  # vertices this close to the best rate tie
 _ZERO = 1e-10  # what locate reads as zero, relative to the scale
 _TRUSTED = 1e6 * _FEASIBILITY_SLACK  # least link that lets locate trust a degenerate vertex
 
-# Every choice of 4 active constraints out of 8 (cut rows first, then the
-# four nonnegativity rows); 70 candidate vertices in total.
-_SET_INDEX = {s: i for i, s in enumerate(itertools.combinations(range(8), 4))}
-_ACTIVE_SETS = np.array(list(_SET_INDEX), dtype=np.intp)
-_ALL_SETS = np.arange(len(_ACTIVE_SETS))
-# rows 4-8 of a system table (t_j = 0, then the simplex row); each set's rows
+# An active set names a vertex by its 4 tight constraints, sorted: i < 4 is rate = cut i + 1,
+# 4 + j is t_(j+1) = 0. Row 8 is the simplex row, so set + (8,) picks the rows of its system.
+_ALL_SETS = list(itertools.combinations(range(8), 4))
+_ALL_INDEX = np.array([s + (8,) for s in _ALL_SETS])  # the 70-set path's, built once
 _STATE_ROWS = [tuple(float(i == j) for i in range(5)) for j in range(1, 5)] + [(0.0,) + (1.0,) * 4]
-_SYSTEMS = np.column_stack([_ACTIVE_SETS, np.full(len(_ACTIVE_SETS), 8)])
-_RHS = np.eye(5)[:, 4:]
 _TIE_ORDER = (0, 3, 1, 2)  # states in tie-break order: t1, t4, t2, t3
 
-# The 69 kernels (active set, cuts C, states S), |C| = |S|, most frequent winners first
-_FREQUENT = (0, 37, 36, 18, 8, 15, 5, 41)
-_SUBSETS = [c for k in range(1, 5) for c in itertools.combinations(range(4), k)]
-_KERNELS = sorted(
-    ((_SET_INDEX[tuple(sorted(c + tuple(4 + j for j in range(4) if j not in s)))], c, s)
-     for c in _SUBSETS for s in _SUBSETS if len(c) == len(s)),
-    key=lambda kernel: (_FREQUENT + (kernel[0],)).index(kernel[0]),
+# The 53 kernels (cuts C, states S), |C| = |S| >= 2, most frequent winners first;
+# every column of _cut_rows holds a zero, so a 1x1 kernel has v <= tol and never certifies
+_FREQUENT = (
+    ((0, 1, 2, 3), (0, 1, 2, 3)),  # all four cuts
+    # three cuts over three states
+    ((1, 2, 3), (0, 1, 3)), ((1, 2, 3), (0, 2, 3)), ((0, 2, 3), (0, 1, 2)),
+    ((0, 1, 3), (0, 1, 2)), ((0, 2, 3), (1, 2, 3)), ((0, 1, 3), (1, 2, 3)),
+    ((1, 2), (1, 2)),  # cuts 2 and 3 over t2, t3: the alternating schedule
 )
+_SUBSETS = [c for k in range(2, 5) for c in itertools.combinations(range(4), k)]
+_KERNELS = list(_FREQUENT) + [(c, s) for c in _SUBSETS for s in _SUBSETS
+                              if len(c) == len(s) and (c, s) not in _FREQUENT]
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ def _cuts(rows, t1: float, t2: float, t3: float, t4: float) -> tuple[float, ...]
 
 
 def _adjugate(b) -> list[list[float]]:
-    """adj(b) of a 1x1 to 4x4 matrix, so that b @ adj(b) = det(b) I."""
-    if len(b) < 3:
-        return [[1.0]] if len(b) == 1 else [[b[1][1], -b[0][1]], [-b[1][0], b[0][0]]]
+    """adj(b) of a 2x2 to 4x4 matrix, so that b @ adj(b) = det(b) I."""
+    if len(b) == 2:
+        return [[b[1][1], -b[0][1]], [-b[1][0], b[0][0]]]
     if len(b) == 3:  # columns are cross products of row pairs
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
         return [[b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1],
@@ -140,15 +140,15 @@ def _adjugate(b) -> list[list[float]]:
              -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0]]
 
 
-def _locate(rows) -> list[int] | None:
-    """Indices of the active sets the selection can pick, or None if unproven.
+def _locate(rows) -> list[tuple[int, ...]] | None:
+    """The active sets the selection can pick, or None if unproven.
 
     Once t is optimal, dt[j] and drate bound how far a kept candidate (t >= -eps,
     rate <= cut + eps, near-best) is from t: too little to tighten a slack constraint.
     """
     scale = max(map(max, rows))
     tol = _ZERO * scale
-    for _, cuts, states in _KERNELS if scale > 0.0 else ():
+    for cuts, states in _KERNELS if scale > 0.0 else ():
         b = rows if len(cuts) == 4 else [[rows[i][j] for j in states] for i in cuts]
         adj = _adjugate(b)
         sums = [sum(row) for row in adj]
@@ -205,16 +205,16 @@ def _locate(rows) -> list[int] | None:
     moved = [drate + sum([abs(m) * d for m, d in zip(row, dt)]) for row in rows] + dt
     if any(gap <= 2 * d for n, (gap, d) in enumerate(zip(slack + t, moved)) if n not in tight):
         return None
-    return [_SET_INDEX[s] for s in itertools.combinations(tight, 4)]
+    return list(itertools.combinations(tight, 4))  # tight is sorted
 
 
-def _select(rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-    """(t, cut values at t) of the best vertex over sets; None if none is feasible."""
-    # each set's system over (rate, t1..t4): rate - cut_i = 0 or t_j = 0, sum t = 1
-    a = np.array([(1.0, -p, -q, -r, -s) for p, q, r, s in rows] + _STATE_ROWS)[_SYSTEMS[sets]]
+def _select(rows, systems) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """(t, cut values at t) of the best feasible vertex over systems (set + (8,)), or None."""
+    # each system over (rate, t1..t4): rate - cut_i = 0 or t_j = 0, sum t = 1
+    a = np.array([(1.0, -p, -q, -r, -s) for p, q, r, s in rows] + _STATE_ROWS)[systems]
     # skip singular sets: |det| against the row norms' Hadamard bound, scale-free
     screen = np.abs(np.linalg.det(a)) > 1e-10 * np.sqrt((a * a).sum(axis=2)).prod(axis=1)
-    x = np.linalg.solve(a[screen], _RHS)[:, :, 0]
+    x = np.linalg.solve(a[screen], [[0.0]] * 4 + [[1.0]])[:, :, 0]
     x = x[np.isfinite(x).all(axis=1)]
     low, feasible = -_FEASIBILITY_SLACK, []
     for row in x.tolist():
@@ -259,8 +259,8 @@ def solve_bound(caps: LinkCapacities) -> CutSetSolution:
     """
     rows = _cut_rows(caps)
     sets = _locate(rows)
-    chosen = None if sets is None else _select(rows, sets)
-    chosen = chosen or _select(rows, _ALL_SETS)
+    chosen = None if sets is None else _select(rows, [s + (8,) for s in sets])
+    chosen = chosen or _select(rows, _ALL_INDEX)
     if chosen is None:  # the simplex is nonempty and compact
         raise InvariantError("no feasible vertex found; enumeration is broken")
     t, values = chosen

@@ -248,7 +248,7 @@ def sample_instance(config: SweepConfig, index: int) -> ChannelSpec:
             c01 = link_capacity(g01, p_s, s1)
             c02 = link_capacity(g02, p_s, s2)
             c13 = link_capacity(g13, p_r1, s3)
-            c23 = c01 * c02 / c13
+            c23 = c01 * c02 / c13 if c13 > 0.0 else math.inf  # c13 underflowed: reject
             if c23 <= _MAX_FORCED_CAPACITY:
                 break
         else:

@@ -256,7 +256,7 @@ def differential_check(caps_list) -> tuple[int, dict[str, int]]:
         for caps in caps_list:
             calls.clear()
             got = solve(caps, locating=True)
-            if calls[0] == len(cutset_lp._ACTIVE_SETS):
+            if calls[0] == len(cutset_lp._ALL_SETS):
                 paths["all"] += 1
             else:
                 paths["fallback" if len(calls) > 1 else "one" if calls[0] == 1 else "several"] += 1

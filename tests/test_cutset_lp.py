@@ -18,6 +18,7 @@ from diamond_relay import (
     solve_bound,
     sr_rate_min_form,
 )
+from diamond_relay import cutset_lp
 from diamond_relay.experiments import sample_instance
 from oracles import (
     DIFFERENTIAL_FAMILIES,
@@ -114,8 +115,9 @@ class TestCutValues:
             (True, False, False, False),
             (Decimal("0.25"),) * 4,
             b"\x01\x00\x00\x00",  # iterates as the ints 1, 0, 0, 0
+            0.5,  # not iterable at all
         ],
-        ids=["str", "str_entries", "bytes", "bools", "decimals", "bytes_of_a_vertex"],
+        ids=["str", "str_entries", "bytes", "bools", "decimals", "bytes_of_a_vertex", "float"],
     )
     def test_rejects_what_is_not_int_or_float(self, t):
         # every number the package takes is an int or a float, t's entries too
@@ -200,6 +202,36 @@ class TestAgainstGridOracle:
         fast = grid_oracle_bound(caps, 0.05)
         naive = grid_oracle_bound_naive(caps, 0.05)
         assert fast == pytest.approx(naive, abs=1e-12)
+
+
+class TestKernelTable:
+    """The kernels _locate scans: the order sets its speed, never its answer."""
+
+    def test_frequent_winners_lead_the_scan(self):
+        assert cutset_lp._KERNELS[: len(cutset_lp._FREQUENT)] == list(cutset_lp._FREQUENT)
+
+    def test_every_square_kernel_of_size_two_to_four_once(self):
+        kernels = cutset_lp._KERNELS
+        assert len(kernels) == len(set(kernels)) == 53
+        assert all(len(cuts) == len(states) >= 2 for cuts, states in kernels)
+
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_every_pure_state_leaves_a_cut_at_zero(self, family):
+        # so a 1x1 kernel's value is at most locate's zero and it never certifies
+        for caps in differential_corpus(family, 5):
+            for j in range(4):
+                assert min(cut_values(caps, tuple(float(i == j) for i in range(4)))) == 0.0
+
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_frequent_kernels_are_the_winners(self, family, monkeypatch):
+        # a winner left out of _FREQUENT still wins, only after the rest of the scan
+        rows = [cutset_lp._cut_rows(caps) for caps in differential_corpus(family, 300)]
+        located = [cutset_lp._locate(r) for r in rows]
+        assert sum(sets is not None for sets in located) >= 100
+        for sets in located:
+            assert sets is None or all(s in cutset_lp._ALL_SETS for s in sets), sets
+        monkeypatch.setattr(cutset_lp, "_KERNELS", list(cutset_lp._FREQUENT))
+        assert [cutset_lp._locate(r) for r in rows] == located
 
 
 class TestLocatedSelection:

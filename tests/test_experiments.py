@@ -23,6 +23,7 @@ from diamond_relay import (
     write_records_csv,
     write_summary_json,
 )
+from diamond_relay import experiments
 from diamond_relay.experiments import _substream
 
 CSV_HEADER = (
@@ -107,6 +108,7 @@ class TestSweepConfig:
         # b"\x01\x01\x01" iterates as the ints 1, 1, 1
         for power in [
             (1.0, -1.0, 1.0), (True, 1.0, 1.0), ("1", 1.0, 1.0), (1.0, 1.0), b"\x01\x01\x01",
+            1.0,
         ]:
             with pytest.raises(DomainError, match="power_budget"):
                 small_config(power_budget=power)
@@ -177,6 +179,16 @@ class TestSampling:
         for record in iter_records(config):
             assert product_condition_holds(record.caps)
             assert record.certified
+
+    def test_relay_power_that_underflows_c13_is_refused(self, monkeypatch):
+        # c13 rounds to 0 on this seed's first draw: no c23 realizes the product
+        monkeypatch.setattr(experiments, "_MAX_REJECTIONS", 10)
+        config = SweepConfig(
+            n_samples=1, seed=0, power_budget=(1.0, 5e-324, 1.0),
+            conditioning=Conditioning.FORCE_PRODUCT_EQUAL,
+        )
+        with pytest.raises(DomainError, match="rejected every draw"):
+            sample_instance(config, 0)
 
 
 class TestPhiloxStream:
