@@ -42,14 +42,16 @@ def _checked_value(
     name: str, value: object, low: float | None = None, strict: bool = False
 ) -> float:
     """value as a finite float, at least low (above low when strict) if given."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond double range
-        raise DomainError(f"{name} must be finite, got an integer too large for a float") from None
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+    if type(value) is not float or value - value != 0.0:  # else a finite plain float already
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond double range
+            raise DomainError(f"{name} must be finite, got an integer too large "
+                              "for a float") from None
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     if low is not None and (value <= low if strict else value < low):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value}")
     return value
@@ -108,9 +110,8 @@ def _snr_for_capacity(name: str, capacity: float) -> float:
     try:
         return math.expm1(capacity * _LN2)
     except OverflowError:
-        raise DomainError(
-            f"{name} = {capacity} is too large to realize in double precision"
-        ) from None
+        raise DomainError(f"{name} = {capacity} is too large to realize "
+                          "in double precision") from None
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,9 @@ class ChannelSpec:
     p_r2: float
 
     def __post_init__(self) -> None:
-        # gains and powers may be 0; noise variances must be positive
-        for field in fields(self):
-            strict = field.name.startswith("sigma")
-            value = _checked_value(field.name, getattr(self, field.name), 0.0, strict)
-            object.__setattr__(self, field.name, value)
+        for name in self.__dataclass_fields__:  # gains, powers >= 0; noise variances > 0
+            value = _checked_value(name, getattr(self, name), 0.0, name.startswith("sigma"))
+            object.__setattr__(self, name, value)
 
     to_dict = plain_dict
 
@@ -172,9 +171,8 @@ class LinkCapacities:
     c123: float
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            value = _checked_value(field.name, getattr(self, field.name), 0.0)
-            object.__setattr__(self, field.name, value)
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, _checked_value(name, getattr(self, name), 0.0))
         for cut, a, b, side in (("c012", "c01", "c02", "source"), ("c123", "c13", "c23", "relay")):
             value = getattr(self, cut)
             strongest = max(getattr(self, a), getattr(self, b))
@@ -219,14 +217,8 @@ def derive_capacities(spec: ChannelSpec) -> LinkCapacities:
     snr_source_cut = (spec.g01 / spec.sigma1_sq + spec.g02 / spec.sigma2_sq) * spec.p_s
     amplitude = math.sqrt(spec.g13 * spec.p_r1) + math.sqrt(spec.g23 * spec.p_r2)
     snr_relay_cut = amplitude * amplitude / spec.sigma3_sq
-    return LinkCapacities(
-        c01=c01,
-        c02=c02,
-        c13=c13,
-        c23=c23,
-        c012=_log2_1p(snr_source_cut),
-        c123=_log2_1p(snr_relay_cut),
-    )
+    return LinkCapacities(c01=c01, c02=c02, c13=c13, c23=c23,
+                          c012=_log2_1p(snr_source_cut), c123=_log2_1p(snr_relay_cut))
 
 
 def induced_capacities(
@@ -249,16 +241,13 @@ def induced_capacities(
     values = {"c01": c01, "c02": c02, "c13": c13, "c23": c23}
     values = {name: _checked_value(name, value, 0.0) for name, value in values.items()}
     if c012 is None:
-        snr_sum = _snr_for_capacity("c01", values["c01"]) + _snr_for_capacity(
-            "c02", values["c02"]
-        )
+        snr_sum = _snr_for_capacity("c01", values["c01"]) + _snr_for_capacity("c02", values["c02"])
         c012 = _log2_1p(snr_sum)
         if not math.isfinite(c012):
             raise DomainError("c01 and c02 are too large to combine in double precision")
     if c123 is None:
-        amplitude = math.sqrt(_snr_for_capacity("c13", values["c13"])) + math.sqrt(
-            _snr_for_capacity("c23", values["c23"])
-        )
+        amplitude = (math.sqrt(_snr_for_capacity("c13", values["c13"]))
+                     + math.sqrt(_snr_for_capacity("c23", values["c23"])))
         c123 = _log2_1p(amplitude * amplitude)
         if not math.isfinite(c123):
             raise DomainError("c13 and c23 are too large to combine in double precision")

@@ -22,14 +22,15 @@ Basic solutions of discrete games) the optimum sits on a square kernel
 B = M[C, S] of the 4x4 cut matrix M, with t_S ~ B^-1 1. _locate scans the 53
 kernels larger than 1x1 (a pure state leaves a cut at zero) in pure Python,
 certifies the optimal one and proves which active sets can win there. The
-selection (determinant screen, LAPACK solve, feasibility filter, tie-break)
-runs over those, or over all 70 without a proof, judging each candidate
-alone through _cuts; the schedule stays LAPACK's, as the closed-form one
-moves its last digit.
+selection runs over those, or over all 70 without a proof; numpy does one
+array, one det (the screen) and one LAPACK solve, Python floats the rest:
+feasibility filter, tie-break, each candidate judged alone through _cuts.
+The schedule stays LAPACK's, as the closed-form one moves its last digit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,9 +51,12 @@ _TRUSTED = 1e6 * _FEASIBILITY_SLACK  # least link that lets locate trust a degen
 
 # An active set names a vertex by its 4 tight constraints, sorted: i < 4 is rate = cut i + 1,
 # 4 + j is t_(j+1) = 0. Row 8 is the simplex row, so set + (8,) picks the rows of its system.
-_ALL_SETS = list(itertools.combinations(range(8), 4))
-_ALL_INDEX = np.array([s + (8,) for s in _ALL_SETS])  # the 70-set path's, built once
-_STATE_ROWS = [tuple(float(i == j) for i in range(5)) for j in range(1, 5)] + [(0.0,) + (1.0,) * 4]
+_ALL_SETS = tuple(itertools.combinations(range(8), 4))
+_STATE_ROWS = [float(i == j) for j in range(1, 5) for i in range(5)] + [0.0] + [1.0] * 4
+_RHS = np.array([[0.0]] * 4 + [[1.0]])
+# each set's 5x5 system as indices into the flat 9x5 table: cut rows, then _STATE_ROWS
+_system_index = functools.cache(  # per set list: _ALL_SETS and the 154 _locate can return
+    lambda sets: 5 * np.array([s + (8,) for s in sets])[:, :, None] + np.arange(5))
 _TIE_ORDER = (0, 3, 1, 2)  # states in tie-break order: t1, t4, t2, t3
 
 # The 53 kernels (cuts C, states S), |C| = |S| >= 2, most frequent winners first;
@@ -140,7 +144,7 @@ def _adjugate(b) -> list[list[float]]:
              -a30 * s3 + a31 * s1 - a32 * s0, a20 * s3 - a21 * s1 + a22 * s0]]
 
 
-def _locate(rows) -> list[tuple[int, ...]] | None:
+def _locate(rows) -> tuple[tuple[int, ...], ...] | None:
     """The active sets the selection can pick, or None if unproven.
 
     Once t is optimal, dt[j] and drate bound how far a kept candidate (t >= -eps,
@@ -202,26 +206,34 @@ def _locate(rows) -> list[tuple[int, ...]] | None:
         drate = window + eps + max(sum(map(abs, rows[i])) for i in tight if i < 4) * max(dt)
     else:
         return None
-    moved = [drate + sum([abs(m) * d for m, d in zip(row, dt)]) for row in rows] + dt
-    if any(gap <= 2 * d for n, (gap, d) in enumerate(zip(slack + t, moved)) if n not in tight):
+    moved = [drate + (abs(p) * dt[0] + abs(q) * dt[1] + abs(r) * dt[2] + abs(s) * dt[3])
+             for p, q, r, s in rows]
+    if any(g <= 2 * d for n, (g, d) in enumerate(zip(slack + t, moved + dt)) if n not in tight):
         return None
-    return list(itertools.combinations(tight, 4))  # tight is sorted
+    return tuple(itertools.combinations(tight, 4))  # tight is sorted
 
 
-def _select(rows, systems) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-    """(t, cut values at t) of the best feasible vertex over systems (set + (8,)), or None."""
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # as solve sets for itself
+def _select(rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """(t, cut values at t) of the best feasible vertex over the active sets, or None."""
     # each system over (rate, t1..t4): rate - cut_i = 0 or t_j = 0, sum t = 1
-    a = np.array([(1.0, -p, -q, -r, -s) for p, q, r, s in rows] + _STATE_ROWS)[systems]
-    # skip singular sets: |det| against the row norms' Hadamard bound, scale-free
-    screen = np.abs(np.linalg.det(a)) > 1e-10 * np.sqrt((a * a).sum(axis=2)).prod(axis=1)
-    x = np.linalg.solve(a[screen], [[0.0]] * 4 + [[1.0]])[:, :, 0]
-    x = x[np.isfinite(x).all(axis=1)]
+    table = [v for p, q, r, s in rows for v in (1.0, -p, -q, -r, -s)] + _STATE_ROWS
+    a = np.array(table)[_system_index(sets)]
+    dets = np.linalg.det(a).tolist()  # a subnormal or huge entry may make it 0 or inf
+    # skip singular sets: |det| against the row norms' Hadamard bound, scale-free; a
+    # state row's norm is 1, the simplex row's 2, each product taken in numpy's order
+    norm = [math.sqrt(1.0 + p * p + q * q + r * r + s * s) for p, q, r, s in rows] + [1.0] * 4
+    screen = [abs(d) > 1e-10 * (norm[i] * norm[j] * norm[k] * norm[m] * 2.0)
+              for d, (i, j, k, m) in zip(dets, sets)]
+    if not all(screen):
+        a = a.compress(screen, axis=0)
     low, feasible = -_FEASIBILITY_SLACK, []
-    for row in x.tolist():
+    for row in np.linalg.solve(a, _RHS)[:, :, 0].tolist():
         rate, t1, t2, t3, t4 = row
         if t1 >= low and t2 >= low and t3 >= low and t4 >= low:
             if rate <= min(_cuts(rows, t1, t2, t3, t4)) + _FEASIBILITY_SLACK:
-                feasible.append(row)
+                if all(map(math.isfinite, row)):
+                    feasible.append(row)
     if not feasible:
         return None
     best = max(row[0] for row in feasible)
@@ -259,8 +271,7 @@ def solve_bound(caps: LinkCapacities) -> CutSetSolution:
     """
     rows = _cut_rows(caps)
     sets = _locate(rows)
-    chosen = None if sets is None else _select(rows, [s + (8,) for s in sets])
-    chosen = chosen or _select(rows, _ALL_INDEX)
+    chosen = (sets and _select(rows, sets)) or _select(rows, _ALL_SETS)
     if chosen is None:  # the simplex is nonempty and compact
         raise InvariantError("no feasible vertex found; enumeration is broken")
     t, values = chosen

@@ -8,17 +8,21 @@ grid search over the time-sharing simplex. Slow and obvious on purpose.
 exact_bound solves the same LP in rational arithmetic: the reference for
 how far solve_bound's float answer is from the true optimum.
 
+reference_select is the selection as it stood before its fixed costs were
+cut; selection_check holds the package's _select to it, bit for bit.
+
 The differential check at the end holds solve_bound to its own selection
 over all 70 active sets, on seeded corpora, optionally scaled;
-`python tests/oracles.py N [SCALE]` runs it on N instances of each family.
-Both runs judge each candidate vertex on its own, with the same cut
-evaluator, so the located run can decline only when the determinant screen
-drops the located set.
+`python tests/oracles.py N [SCALE]` runs it and the selection check on N
+instances of each family. Both runs judge each candidate vertex on its own,
+with the same cut evaluator, so the located run can decline only when the
+determinant screen drops the located set.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -184,6 +188,82 @@ def _solve_exact(rows) -> list[Fraction] | None:
     return [a[r][n] / a[r][r] for r in range(n)]
 
 
+# -- the selection as it was written before its fixed costs were cut ---------
+
+_STATE_ROWS = [tuple(float(i == j) for i in range(5)) for j in range(1, 5)] + [(0.0,) + (1.0,) * 4]
+
+
+def reference_select(rows, systems) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
+    """(t, cut values at t) of the best feasible vertex over systems (set + (8,)), or None.
+
+    cutset_lp._select as it stood with one numpy call per step: the batched
+    row norms, the finiteness mask and a[screen] on every call. The package's
+    selection must give the same floats, bit for bit.
+    """
+    from diamond_relay.cutset_lp import _FEASIBILITY_SLACK, _TIE_ORDER, _TIE_REL_TOL, _cuts
+
+    # each system over (rate, t1..t4): rate - cut_i = 0 or t_j = 0, sum t = 1
+    a = np.array([(1.0, -p, -q, -r, -s) for p, q, r, s in rows] + _STATE_ROWS)[systems]
+    # skip singular sets: |det| against the row norms' Hadamard bound, scale-free
+    screen = np.abs(np.linalg.det(a)) > 1e-10 * np.sqrt((a * a).sum(axis=2)).prod(axis=1)
+    x = np.linalg.solve(a[screen], [[0.0]] * 4 + [[1.0]])[:, :, 0]
+    x = x[np.isfinite(x).all(axis=1)]
+    low, feasible = -_FEASIBILITY_SLACK, []
+    for row in x.tolist():
+        rate, t1, t2, t3, t4 = row
+        if t1 >= low and t2 >= low and t3 >= low and t4 >= low:
+            if rate <= min(_cuts(rows, t1, t2, t3, t4)) + _FEASIBILITY_SLACK:
+                feasible.append(row)
+    if not feasible:
+        return None
+    best = max(row[0] for row in feasible)
+    floor = best - _TIE_REL_TOL * max(1.0, abs(best))
+    # round to 12 decimals so vertices that differ only by solve noise tie,
+    # then prefer small t in _TIE_ORDER (a stable sort). np.round(x, 12) is
+    # rint(x * 1e12) / 1e12 and sorts as rint(x * 1e12); round(x, 12) does not
+    k1, k2, k3, k4 = (1 + j for j in _TIE_ORDER)  # a row is (rate, t1, t2, t3, t4)
+    ranked = sorted(
+        (row for row in feasible if row[0] >= floor),
+        key=lambda r: (round(r[k1] * 1e12), round(r[k2] * 1e12), round(r[k3] * 1e12),
+                       round(r[k4] * 1e12)),
+    )
+    first = None
+    for row in ranked:
+        # negative entries are roundoff of a feasible vertex; <= also maps -0.0 to 0
+        t = [v if v > 0.0 else 0.0 for v in row[1:]]
+        total = ((t[0] + t[1]) + t[2]) + t[3]
+        t_final = tuple(v / total for v in t)
+        values = _cuts(rows, *t_final)
+        first = first or (t_final, values)
+        if min(values) >= floor:  # else clamping lost the tie window: next
+            return t_final, values
+    return first
+
+
+def selection_check(caps_list) -> int:
+    """Selections where _select and reference_select differ, bit for bit.
+
+    Each instance is compared on its located sets, when locate proves any,
+    and on all 70; a difference is any float of (t, cut values) that is not
+    the same, or a None from one side only.
+    """
+    from diamond_relay import cutset_lp
+
+    def bits(chosen):
+        return None if chosen is None else [[v.hex() for v in part] for part in chosen]
+
+    mismatches = 0
+    for caps in caps_list:
+        rows = cutset_lp._cut_rows(caps)
+        located = cutset_lp._locate(rows)
+        for sets in ([located] if located else []) + [cutset_lp._ALL_SETS]:
+            with warnings.catch_warnings():  # it warns on a subnormal or huge row
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = bits(reference_select(rows, [s + (8,) for s in sets]))
+            mismatches += bits(cutset_lp._select(rows, sets)) != want
+    return mismatches
+
+
 # -- solve_bound against the selection over all 70 active sets ------------
 
 DIFFERENTIAL_FAMILIES = ("unconditioned", "force_product_equal", "force_mirrored", "wide")
@@ -267,12 +347,14 @@ def differential_check(caps_list) -> tuple[int, dict[str, int]]:
 
 
 if __name__ == "__main__":
-    # python tests/oracles.py N [SCALE]: the differential check on N instances
-    # a family, every capacity multiplied by SCALE (default 1)
+    # python tests/oracles.py N [SCALE]: the differential and selection checks on
+    # N instances a family, every capacity multiplied by SCALE (default 1)
     import sys
 
     size = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
     factor = float(sys.argv[2]) if len(sys.argv) > 2 else 1.0
     for name in DIFFERENTIAL_FAMILIES:
-        bad, counts = differential_check(differential_corpus(name, size, scale=factor))
-        print(f"{name} x{factor:g}: {size} instances, {bad} mismatches, paths {counts}", flush=True)
+        corpus = differential_corpus(name, size, scale=factor)
+        bad, counts = differential_check(corpus)
+        print(f"{name} x{factor:g}: {size} instances, {bad} mismatches, paths {counts}, "
+              f"{selection_check(corpus)} selection mismatches", flush=True)

@@ -1,7 +1,10 @@
 """Gains-to-capacities layer: validation, known values, round trips."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +18,7 @@ from diamond_relay import (
     induced_capacities,
     link_capacity,
 )
+from diamond_relay.channel_model import _checked_value
 
 LOG2_7 = 2.807354922057604
 LOG2_13 = 3.700439718141092
@@ -222,3 +226,60 @@ class TestLinkCapacitiesValidation:
         caps = induced_capacities(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(AttributeError):
             caps.c01 = 2.0
+
+
+class _FloatSubclass(float):
+    pass
+
+
+class TestCheckedValue:
+    """The one number validator, entry by entry: a finite plain float in range
+    comes back as itself, everything else as a plain float or DomainError."""
+
+    @pytest.mark.parametrize(
+        "value, low, strict, want",
+        [
+            (0.0, 0.0, False, "0.0"),
+            (0.0, 0.0, True, "x must be > 0, got 0.0"),
+            (-0.0, 0.0, False, "-0.0"),
+            (-0.0, 0.0, True, "x must be > 0, got -0.0"),
+            (0.0, -1.0, True, "0.0"),
+            (-0.0, -1.0, True, "-0.0"),
+            (-0.0, None, False, "-0.0"),
+            (5e-324, 0.0, False, "5e-324"),
+            (5e-324, 0.0, True, "5e-324"),
+            (1.5, 1.5, False, "1.5"),
+            (1.5, 1.5, True, "x must be > 1.5, got 1.5"),
+            (-1.0, 0.0, False, "x must be >= 0, got -1.0"),
+            (-2.5, None, False, "-2.5"),
+            (math.nan, 0.0, False, "x must be finite, got nan"),
+            (math.nan, None, False, "x must be finite, got nan"),
+            (math.inf, 0.0, False, "x must be finite, got inf"),
+            (-math.inf, None, False, "x must be finite, got -inf"),
+            (10**400, 0.0, False, "x must be finite, got an integer too large for a float"),
+            (3, 0.0, True, "3.0"),
+            (np.float64(2.5), 0.0, False, "2.5"),
+            (np.float64(-1.0), 0.0, False, "x must be >= 0, got -1.0"),
+            (np.float64(math.nan), None, False, "x must be finite, got nan"),
+            (_FloatSubclass(1.5), 0.0, False, "1.5"),
+            (_FloatSubclass(-1.5), 0.0, True, "x must be > 0, got -1.5"),
+            (True, 0.0, False, "x must be a real number, got True"),
+            ("1.0", 0.0, False, "x must be a real number, got '1.0'"),
+            (Decimal("1.0"), 0.0, False, "x must be a real number, got Decimal('1.0')"),
+            (Fraction(1, 2), 0.0, False, "x must be a real number, got Fraction(1, 2)"),
+            (None, 0.0, False, "x must be a real number, got None"),
+        ],
+    )
+    def test_result_or_message(self, value, low, strict, want):
+        # want is the repr of the result, or the DomainError message
+        try:
+            got = _checked_value("x", value, low, strict)
+        except DomainError as exc:
+            assert str(exc) == want
+        else:
+            assert type(got) is float  # subclasses such as np.float64 come back plain
+            assert repr(got) == want
+
+    def test_plain_float_comes_back_as_itself(self):
+        value = 2.5
+        assert _checked_value("x", value, 0.0) is value

@@ -1,6 +1,7 @@
 """Scheduling bound solver: worked vertices, invariants, grid-search agreement."""
 
 import json
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from oracles import (
     grid_oracle_bound,
     grid_oracle_bound_naive,
     min_cut,
+    selection_check,
 )
 
 cap = st.floats(min_value=1e-3, max_value=30.0, allow_nan=False)
@@ -234,6 +236,76 @@ class TestKernelTable:
         assert [cutset_lp._locate(r) for r in rows] == located
 
 
+# one input for each path solve_bound can take, with the path it takes
+PINNED_PATHS = pytest.mark.parametrize(
+    "caps, path",
+    [
+        (derive_capacities(sample_instance(SweepConfig(n_samples=1, seed=0), 0)), "one"),
+        (caps_of(2.0, 3.0, 3.0, 2.0), "several"),
+        (caps_of(0.0, 2.0, 1.0, 2.0), "all"),
+        # a degenerate optimum at low scale: a far vertex that breaks cut 3
+        # by 1.3e-10, inside the absolute feasibility slack, outbids it
+        (
+            LinkCapacities(
+                c01=0.00183104963683072,
+                c02=0.044420118488477725,
+                c13=13.14819083628531,
+                c23=6.186055772923658e-06,
+                c012=0.046195683924911295,
+                c123=13.148253540407394,
+            ),
+            "all",
+        ),
+        # the same with c23 = 2.1e-6 next to c13 = 14; only the least-link
+        # rule of the degenerate case declines it
+        (
+            caps_of(
+                0.002137712111394603, 0.013887664254337278,
+                14.007166743974881, 2.119474167625568e-06,
+            ),
+            "all",
+        ),
+        # a non-degenerate optimum whose margins are too thin for the slack
+        (
+            LinkCapacities(
+                c01=0.01972466563615255,
+                c02=1.208901766861331e-07,
+                c13=0.0003111329555682936,
+                c23=0.9523718549965116,
+                c012=0.019724784884754612,
+                c123=0.9735521776470308,
+            ),
+            "all",
+        ),
+        # at this scale the determinant screen drops the located set
+        (
+            LinkCapacities(
+                c01=1.7396568611968434e-05,
+                c02=5.891863795151713e-06,
+                c13=2.1429232392145314e-06,
+                c23=4.371521919141887e-06,
+                c012=1.739705666107379e-05,
+                c123=5.340700607703695e-06,
+            ),
+            "fallback",
+        ),
+        # cut entries in the thousands: the located vertex's rate equals its
+        # least cut, 1e-9 inside the feasibility slack, and the located sets answer
+        (LinkCapacities(2000.0, 3000.0, 3000.0, 2000.0, 3500.0, 3500.0), "several"),
+    ],
+    ids=[
+        "rayleigh",
+        "caps_2332",
+        "zero_link",
+        "low_scale_degenerate",
+        "weak_link_degenerate",
+        "thin_margin",
+        "screened_out",
+        "cut_entries_in_thousands",
+    ],
+)
+
+
 class TestLocatedSelection:
     """solve_bound solves only the active sets it proves can win; it must
     answer exactly as its selection over all 70 sets does."""
@@ -253,77 +325,49 @@ class TestLocatedSelection:
         assert mismatches == 0, paths
         assert paths["fallback"] <= 15, paths  # 1 %
 
-    @pytest.mark.parametrize(
-        "caps, path",
-        [
-            (derive_capacities(sample_instance(SweepConfig(n_samples=1, seed=0), 0)), "one"),
-            (caps_of(2.0, 3.0, 3.0, 2.0), "several"),
-            (caps_of(0.0, 2.0, 1.0, 2.0), "all"),
-            # a degenerate optimum at low scale: a far vertex that breaks cut 3
-            # by 1.3e-10, inside the absolute feasibility slack, outbids it
-            (
-                LinkCapacities(
-                    c01=0.00183104963683072,
-                    c02=0.044420118488477725,
-                    c13=13.14819083628531,
-                    c23=6.186055772923658e-06,
-                    c012=0.046195683924911295,
-                    c123=13.148253540407394,
-                ),
-                "all",
-            ),
-            # the same with c23 = 2.1e-6 next to c13 = 14; only the least-link
-            # rule of the degenerate case declines it
-            (
-                caps_of(
-                    0.002137712111394603, 0.013887664254337278,
-                    14.007166743974881, 2.119474167625568e-06,
-                ),
-                "all",
-            ),
-            # a non-degenerate optimum whose margins are too thin for the slack
-            (
-                LinkCapacities(
-                    c01=0.01972466563615255,
-                    c02=1.208901766861331e-07,
-                    c13=0.0003111329555682936,
-                    c23=0.9523718549965116,
-                    c012=0.019724784884754612,
-                    c123=0.9735521776470308,
-                ),
-                "all",
-            ),
-            # at this scale the determinant screen drops the located set
-            (
-                LinkCapacities(
-                    c01=1.7396568611968434e-05,
-                    c02=5.891863795151713e-06,
-                    c13=2.1429232392145314e-06,
-                    c23=4.371521919141887e-06,
-                    c012=1.739705666107379e-05,
-                    c123=5.340700607703695e-06,
-                ),
-                "fallback",
-            ),
-            # cut entries in the thousands: the located vertex's rate equals its
-            # least cut, 1e-9 inside the feasibility slack, and the located sets answer
-            (LinkCapacities(2000.0, 3000.0, 3000.0, 2000.0, 3500.0, 3500.0), "several"),
-        ],
-        ids=[
-            "rayleigh",
-            "caps_2332",
-            "zero_link",
-            "low_scale_degenerate",
-            "weak_link_degenerate",
-            "thin_margin",
-            "screened_out",
-            "cut_entries_in_thousands",
-        ],
-    )
+    @PINNED_PATHS
     def test_each_path_on_a_pinned_input(self, caps, path):
         mismatches, paths = differential_check([caps])
         assert mismatches == 0
         assert paths[path] == 1, paths
+
+
+class TestSelectionParity:
+    """_select against its earlier form, kept in oracles.reference_select:
+    the same (t, cut values), bit for bit, or None from both, on the located
+    sets and on all 70."""
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 1e-3, 1.0, 1e3, 1e6, 2.0**20])
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_corpus_at_each_scale(self, family, scale):
+        assert selection_check(differential_corpus(family, 50, seed=11, scale=scale)) == 0
+
+    @PINNED_PATHS
+    def test_pinned_input(self, caps, path):
+        assert selection_check([caps]) == 0
+
+
+class TestNumpyWarnings:
+    """LAPACK's det warns on a subnormal or overflowing entry; the selection
+    reads the inf or 0 it gives and lets no warning reach stderr."""
+
+    def test_subnormal_link(self):
+        caps = induced_capacities(5e-324, 1.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = repr(solve_bound(caps))
+        assert got == (
+            "CutSetSolution(t=(0.0, 0.5, 0.5, 0.0), bound=0.5, "
+            "cut_values=(0.5, 1.0, 0.5, 1.0), binding=frozenset({1, 3}))"
+        )
+
+    def test_overflowing_links_raise_only_the_known_error(self):
+        # no vertex survives the absolute feasibility slack at 1e300 (ROADMAP direction 1)
+        caps = LinkCapacities(*(1e300,) * 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match="no feasible vertex"):
+                solve_bound(caps)
 
 
 class TestAgainstExactBound:
@@ -406,6 +450,60 @@ class TestAgainstExactBound:
         # the rate column of each 5x5 system stays 1 while the cut entries
         # grow, so |det| against the Hadamard bound shrinks like 1/scale
         assert solve_bound(caps).bound == pytest.approx(float(exact_bound(caps)), rel=2e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the absolute feasibility slack is below one ulp of the cuts, so the "
+        "optimum is rejected (large scale) or the 70-set tie walk clamps (zero link); "
+        "ROADMAP direction 1",
+    )
+    @pytest.mark.parametrize(
+        "caps, wrong, optimum",
+        [
+            (
+                LinkCapacities(
+                    c01=22556343.26213884,
+                    c02=23075079.005895313,
+                    c13=11691958.539599828,
+                    c23=35850430.52282113,
+                    c012=34350366.3401829,
+                    c123=50101637.96203329,
+                ),
+                19773488.542532824,
+                21746640.17711063,
+            ),
+            (
+                LinkCapacities(
+                    c01=2625641354.90309,
+                    c02=2138577089.5756748,
+                    c13=2202485577.55431,
+                    c23=2090977062.4717438,
+                    c012=3301138382.567652,
+                    c123=3972802401.4332614,
+                ),
+                0.0,
+                2246339507.4847584,
+            ),
+            (
+                LinkCapacities(
+                    c01=3.329375257284348,
+                    c02=29.651151850034896,
+                    c13=0.0,
+                    c23=0.5522001123119036,
+                    c012=29.65115186552382,
+                    c123=0.5522001123119037,
+                ),
+                0.5421043794669523,
+                0.542104379744955,
+            ),
+        ],
+        ids=["scale_2_24", "links_near_2e9", "zero_link_wide"],
+    )
+    def test_found_wrong_bound(self, caps, wrong, optimum):
+        # wrong is the bound given today; an XPASS means a change moved it
+        assert float(exact_bound(caps)) == optimum
+        bound = solve_bound(caps).bound
+        assert bound == pytest.approx(optimum, rel=2e-12), (bound, wrong)
 
     @pytest.mark.parametrize(
         "scale",
