@@ -41,7 +41,7 @@ _CUT_CAP_SLACK = 1e-9
 def _checked_value(
     name: str, value: object, low: float | None = None, strict: bool = False
 ) -> float:
-    """value as a finite float, at least low (above low when strict) if given."""
+    """value as a finite float, -0.0 as 0.0, at least low (above low when strict) if given."""
     if type(value) is not float or value - value != 0.0:  # else a finite plain float already
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"{name} must be a real number, got {value!r}")
@@ -52,6 +52,8 @@ def _checked_value(
                               "for a float") from None
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
+    if value == 0.0 and math.copysign(1.0, value) < 0.0:
+        value = 0.0
     if low is not None and (value <= low if strict else value < low):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value}")
     return value

@@ -50,29 +50,8 @@ __all__ = [
 
 RNG_ALGORITHM = "philox4x64-10(key=seed, counter=index*2^192), inverse-CDF transforms"
 
-# (column, cell) for each sweep CSV column in order; a cell reads its value
-# from (config, record)
-_CSV_COLUMNS = (
-    ("seed", lambda config, record: config.seed),
-    ("index", lambda config, record: record.index),
-    ("g01", lambda config, record: record.spec.g01),
-    ("g02", lambda config, record: record.spec.g02),
-    ("g13", lambda config, record: record.spec.g13),
-    ("g23", lambda config, record: record.spec.g23),
-    ("c01", lambda config, record: record.caps.c01),
-    ("c02", lambda config, record: record.caps.c02),
-    ("c13", lambda config, record: record.caps.c13),
-    ("c23", lambda config, record: record.caps.c23),
-    ("c012", lambda config, record: record.caps.c012),
-    ("c123", lambda config, record: record.caps.c123),
-    ("r_sr", lambda config, record: record.r_sr),
-    ("bound", lambda config, record: record.bound),
-    ("gap", lambda config, record: record.gap),
-    ("lemma_case", lambda config, record: record.lemma_case.value),
-    ("certified", lambda config, record: record.certified),
-)
-
-CSV_HEADER = tuple(column for column, _ in _CSV_COLUMNS)
+CSV_HEADER = ("seed", "index", "g01", "g02", "g13", "g23", "c01", "c02", "c13", "c23", "c012",
+              "c123", "r_sr", "bound", "gap", "lemma_case", "certified")
 
 # Forced product-equal draws are rejected while the implied fourth capacity
 # exceeds this, so the inverted gain stays far inside double range.
@@ -279,26 +258,22 @@ def sample_instance(config: SweepConfig, index: int) -> ChannelSpec:
     )
 
 
-def _evaluate(config: SweepConfig, index: int) -> SweepRecord:
-    spec = sample_instance(config, index)
-    caps = derive_capacities(spec)
-    report = certify_capacities(caps)
-    return SweepRecord(
-        index=index,
-        spec=spec,
-        caps=caps,
-        r_sr=report.r_sr,
-        bound=report.bound,
-        gap=report.gap,
-        lemma_case=report.lemma_case,
-        certified=report.capacity_certified,
-    )
-
-
 def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
     """Records 0..n_samples-1 in order, evaluated lazily."""
     for index in range(config.n_samples):
-        yield _evaluate(config, index)
+        spec = sample_instance(config, index)
+        caps = derive_capacities(spec)
+        report = certify_capacities(caps)
+        yield SweepRecord(
+            index=index,
+            spec=spec,
+            caps=caps,
+            r_sr=report.r_sr,
+            bound=report.bound,
+            gap=report.gap,
+            lemma_case=report.lemma_case,
+            certified=report.capacity_certified,
+        )
 
 
 def summarize(config: SweepConfig, records: Sequence[SweepRecord]) -> dict[str, object]:
@@ -371,8 +346,12 @@ def write_records_csv(
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for record in records:
-        writer.writerow([_csv_cell(cell(config, record)) for _, cell in _CSV_COLUMNS])
+    for r in records:  # the values in CSV_HEADER order
+        writer.writerow([_csv_cell(value) for value in (
+            config.seed, r.index, r.spec.g01, r.spec.g02, r.spec.g13, r.spec.g23,
+            r.caps.c01, r.caps.c02, r.caps.c13, r.caps.c23, r.caps.c012, r.caps.c123,
+            r.r_sr, r.bound, r.gap, r.lemma_case.value, r.certified,
+        )])
 
 
 def write_summary_json(summary: dict[str, object], stream: IO[str]) -> None:

@@ -11,12 +11,15 @@ how far solve_bound's float answer is from the true optimum.
 reference_select is the selection as it stood before its fixed costs were
 cut; selection_check holds the package's _select to it, bit for bit.
 
-The differential check at the end holds solve_bound to its own selection
+The differential check near the end holds solve_bound to its own selection
 over all 70 active sets, on seeded corpora, optionally scaled;
 `python tests/oracles.py N [SCALE]` runs it and the selection check on N
 instances of each family. Both runs judge each candidate vertex on its own,
 with the same cut evaluator, so the located run can decline only when the
 determinant screen drops the located set.
+
+SYMMETRIES, last, are the input maps that leave the LP's value exactly
+unchanged: a correctly rounded solver gives bit-identical bounds under each.
 """
 
 from __future__ import annotations
@@ -344,6 +347,30 @@ def differential_check(caps_list) -> tuple[int, dict[str, int]]:
     finally:
         cutset_lp._locate, cutset_lp._select = locate, select
     return mismatches, paths
+
+
+# -- the LP's exact symmetries ----------------------------------------------
+
+SWEEP_FAMILIES = DIFFERENTIAL_FAMILIES[:3]
+
+
+def relay_swap(caps: LinkCapacities) -> LinkCapacities:
+    """Relay 1 renamed relay 2: c01<->c02, c13<->c23; states t2<->t3, cuts 2<->3."""
+    return LinkCapacities(caps.c02, caps.c01, caps.c23, caps.c13, caps.c012, caps.c123)
+
+
+def reversal(caps: LinkCapacities) -> LinkCapacities:
+    """Source and destination exchanged: c01<->c13, c02<->c23, c012<->c123;
+    states t1<->t4, t2<->t3, cuts 1<->4."""
+    return LinkCapacities(caps.c13, caps.c23, caps.c01, caps.c02, caps.c123, caps.c012)
+
+
+# maps under which the LP's value is exactly the same
+SYMMETRIES = {
+    "relay_swap": relay_swap,
+    "reversal": reversal,
+    "both": lambda caps: relay_swap(reversal(caps)),
+}
 
 
 if __name__ == "__main__":

@@ -234,18 +234,18 @@ class _FloatSubclass(float):
 
 class TestCheckedValue:
     """The one number validator, entry by entry: a finite plain float in range
-    comes back as itself, everything else as a plain float or DomainError."""
+    comes back as itself, -0.0 as 0.0, everything else as a plain float or DomainError."""
 
     @pytest.mark.parametrize(
         "value, low, strict, want",
         [
             (0.0, 0.0, False, "0.0"),
             (0.0, 0.0, True, "x must be > 0, got 0.0"),
-            (-0.0, 0.0, False, "-0.0"),
-            (-0.0, 0.0, True, "x must be > 0, got -0.0"),
+            (-0.0, 0.0, False, "0.0"),
+            (-0.0, 0.0, True, "x must be > 0, got 0.0"),
             (0.0, -1.0, True, "0.0"),
-            (-0.0, -1.0, True, "-0.0"),
-            (-0.0, None, False, "-0.0"),
+            (-0.0, -1.0, True, "0.0"),
+            (-0.0, None, False, "0.0"),
             (5e-324, 0.0, False, "5e-324"),
             (5e-324, 0.0, True, "5e-324"),
             (1.5, 1.5, False, "1.5"),
@@ -268,6 +268,7 @@ class TestCheckedValue:
             (Decimal("1.0"), 0.0, False, "x must be a real number, got Decimal('1.0')"),
             (Fraction(1, 2), 0.0, False, "x must be a real number, got Fraction(1, 2)"),
             (None, 0.0, False, "x must be a real number, got None"),
+            (np.float64(-0.0), -1.0, False, "0.0"),
         ],
     )
     def test_result_or_message(self, value, low, strict, want):

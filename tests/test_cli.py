@@ -39,6 +39,13 @@ class TestAnalyze:
         assert payload["sr_rate"]["winner"] == "tie"
         assert payload["capacities"]["c01"] == 2.0
 
+    def test_negative_zero_reads_as_zero(self, capsys):
+        inst = '{"c01": -0.0, "c02": 1, "c13": 1, "c23": 1}'
+        code, out, _ = run(capsys, "analyze", "--input", inst)
+        assert code == 0
+        assert '"c01": 0.0,' in out
+        assert "-0.0" not in out
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "instance.json"
         path.write_text(CAPS_2332)

@@ -23,6 +23,8 @@ from diamond_relay import cutset_lp
 from diamond_relay.experiments import sample_instance
 from oracles import (
     DIFFERENTIAL_FAMILIES,
+    SWEEP_FAMILIES,
+    SYMMETRIES,
     differential_check,
     differential_corpus,
     exact_bound,
@@ -525,3 +527,43 @@ class TestAgainstExactBound:
         # vertex's rate rounds above its least cut by more than the 1e-9 slack
         caps = LinkCapacities(*(scale * c for c in (2.0, 3.0, 3.0, 2.0, 3.5, 3.5)))
         assert solve_bound(caps).bound == pytest.approx(2.4 * scale, rel=1e-12)
+
+
+class TestExactSymmetries:
+    """The LP's value is exactly invariant under relay swap and network
+    reversal, and scaling every capacity by 2^-30 is exact in floats, so a
+    correctly rounded solver passes each check on every instance of a
+    seeded corpus. solve_bound rounds each vertex its own way and does not."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="solve_bound's rounding depends on the order of the cuts "
+        "(ROADMAP direction 1)",
+    )
+    @pytest.mark.parametrize("name", SYMMETRIES)
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    def test_bound_is_bit_identical_under_symmetry(self, family, name):
+        symmetry = SYMMETRIES[name]
+        moved = [
+            i for i, caps in enumerate(differential_corpus(family, 200))
+            if solve_bound(symmetry(caps)).bound != solve_bound(caps).bound
+        ]
+        assert moved == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="solve_bound's rounding depends on the scale of the cuts "
+        "(ROADMAP direction 1)",
+    )
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    def test_bound_commutes_with_power_of_two_scaling(self, family):
+        scale = 2.0**-30
+        pairs = zip(differential_corpus(family, 200),
+                    differential_corpus(family, 200, scale=scale))
+        moved = [
+            i for i, (caps, scaled) in enumerate(pairs)
+            if solve_bound(scaled).bound != scale * solve_bound(caps).bound
+        ]
+        assert moved == []

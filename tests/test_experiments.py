@@ -254,14 +254,21 @@ class TestSerialization:
         records = list(iter_records(config))
         write_records_csv(config, records, buf)
         rows = buf.getvalue().splitlines()[1:]
+        assert len(rows) == len(records)
         for row, record in zip(rows, records):
-            fields = row.split(",")
-            assert int(fields[0]) == config.seed
-            assert int(fields[1]) == record.index
-            assert float(fields[6]) == record.caps.c01
-            assert float(fields[13]) == record.bound
-            assert fields[15] == record.lemma_case.value
-            assert fields[16] in ("true", "false")
+            text = {
+                "seed": str(config.seed),
+                "index": str(record.index),
+                "lemma_case": record.lemma_case.value,
+                "certified": "true" if record.certified else "false",
+            }
+            for name, cell in zip(CSV_HEADER.split(","), row.split(","), strict=True):
+                if name in text:
+                    assert cell == text[name], name
+                    continue
+                # the record's float fields, then its gains, then its capacities
+                owner = next(o for o in (record, record.spec, record.caps) if hasattr(o, name))
+                assert float(cell) == getattr(owner, name), name
 
     def test_sweep_is_byte_identical_across_runs(self):
         config = small_config(n_samples=10, seed=987)

@@ -28,6 +28,7 @@ from diamond_relay import (
     sr_rate_min_form,
     t_star,
 )
+from oracles import SWEEP_FAMILIES, SYMMETRIES, differential_corpus
 
 cap = st.floats(min_value=1e-2, max_value=10.0, allow_nan=False)
 
@@ -190,6 +191,17 @@ class TestPerturbationCheck:
 
 
 class TestCertify:
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    def test_certified_is_invariant_under_symmetry(self, family):
+        # the LP's value and both capacity products are exactly invariant
+        # under these maps, so the verdict must be too, even where the bound's
+        # last bit moves (TestExactSymmetries in test_cutset_lp)
+        for caps in differential_corpus(family, 1000):
+            certified = certify_capacities(caps).capacity_certified
+            for name, symmetry in SYMMETRIES.items():
+                assert certify_capacities(symmetry(caps)).capacity_certified is certified, (
+                    name, caps)
+
     def test_symmetric_instance_is_certified(self):
         spec = ChannelSpec(
             g01=3.0, g02=3.0, g13=3.0, g23=3.0,
