@@ -143,8 +143,10 @@ class ChannelSpec:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:  # gains, powers >= 0; noise variances > 0
-            value = _checked_value(name, getattr(self, name), 0.0, name.startswith("sigma"))
-            object.__setattr__(self, name, value)
+            value = getattr(self, name)
+            checked = _checked_value(name, value, 0.0, name.startswith("sigma"))
+            if checked is not value:
+                object.__setattr__(self, name, checked)
 
     to_dict = plain_dict
 
@@ -174,7 +176,10 @@ class LinkCapacities:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, _checked_value(name, getattr(self, name), 0.0))
+            value = getattr(self, name)
+            checked = _checked_value(name, value, 0.0)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
         for cut, a, b, side in (("c012", "c01", "c02", "source"), ("c123", "c13", "c23", "relay")):
             value = getattr(self, cut)
             strongest = max(getattr(self, a), getattr(self, b))
@@ -199,10 +204,13 @@ def link_capacity(gain: float, power: float, noise_var: float) -> float:
     gain = _checked_value("gain", gain, 0.0)
     power = _checked_value("power", power, 0.0)
     noise_var = _checked_value("noise_var", noise_var, 0.0, strict=True)
+    return _link_capacity(gain, power, noise_var)
+
+
+def _link_capacity(gain: float, power: float, noise_var: float) -> float:
+    # link_capacity on values already checked
     snr = gain * power / noise_var
-    if snr == 0.0:
-        return 0.0
-    return _log2_1p(snr)
+    return 0.0 if snr == 0.0 else _log2_1p(snr)
 
 
 def derive_capacities(spec: ChannelSpec) -> LinkCapacities:
@@ -212,10 +220,10 @@ def derive_capacities(spec: ChannelSpec) -> LinkCapacities:
     its own budget. The source-side cut sees the sum of the two relay SNRs,
     the destination-side cut the coherent sum of the two relay amplitudes.
     """
-    c01 = link_capacity(spec.g01, spec.p_s, spec.sigma1_sq)
-    c02 = link_capacity(spec.g02, spec.p_s, spec.sigma2_sq)
-    c13 = link_capacity(spec.g13, spec.p_r1, spec.sigma3_sq)
-    c23 = link_capacity(spec.g23, spec.p_r2, spec.sigma3_sq)
+    c01 = _link_capacity(spec.g01, spec.p_s, spec.sigma1_sq)
+    c02 = _link_capacity(spec.g02, spec.p_s, spec.sigma2_sq)
+    c13 = _link_capacity(spec.g13, spec.p_r1, spec.sigma3_sq)
+    c23 = _link_capacity(spec.g23, spec.p_r2, spec.sigma3_sq)
     snr_source_cut = (spec.g01 / spec.sigma1_sq + spec.g02 / spec.sigma2_sq) * spec.p_s
     amplitude = math.sqrt(spec.g13 * spec.p_r1) + math.sqrt(spec.g23 * spec.p_r2)
     snr_relay_cut = amplitude * amplitude / spec.sigma3_sq

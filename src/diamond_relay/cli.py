@@ -38,7 +38,6 @@ from .experiments import (
     LogUniform,
     SweepConfig,
     SweepRecord,
-    _csv_cell,
     iter_records,
     summarize,
     write_records_csv,
@@ -103,6 +102,17 @@ def _flatten(payload: dict[str, object], prefix: str = "") -> dict[str, object]:
         else:
             flat[name] = value
     return flat
+
+
+def _csv_cell(value: object) -> str:
+    """One CSV cell: floats with 17 significant digits, lower-case booleans, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
 def _open_output(path: str | None):

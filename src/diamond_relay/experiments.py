@@ -15,8 +15,8 @@ uniforms, so the whole mapping from seed to gains lives in this module.
 
 from __future__ import annotations
 
-import csv
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -27,9 +27,9 @@ from .channel_model import (
     LinkCapacities,
     _checked_reals,
     _checked_value,
+    _link_capacity,
     derive_capacities,
     gain_for_capacity,
-    link_capacity,
 )
 from .errors import DomainError
 from .optimality import LemmaCase, certify_capacities
@@ -89,9 +89,11 @@ class LogUniform:
             object.__setattr__(self, name, _checked_value(name, getattr(self, name)))
         if not 0.0 < self.lo < self.hi:
             raise DomainError(f"need 0 < lo < hi, got lo = {self.lo}, hi = {self.hi}")
+        object.__setattr__(self, "_logs", (math.log(self.lo), math.log(self.hi)))  # not a field
 
     def sample(self, u: float) -> float:
-        return math.exp((1.0 - u) * math.log(self.lo) + u * math.log(self.hi))
+        log_lo, log_hi = self._logs
+        return math.exp((1.0 - u) * log_lo + u * log_hi)
 
     def describe(self) -> dict[str, object]:
         return {"name": "log_uniform", "lo": self.lo, "hi": self.hi}
@@ -171,6 +173,11 @@ class SweepRecord:
     certified: bool
 
 
+@functools.lru_cache(maxsize=8)  # every record of a sweep has the same seed
+def _round_keys(seed: int) -> tuple[tuple[int, int], ...]:
+    return tuple(((seed + r * _PHILOX_W0) & _M64, (r * _PHILOX_W1) & _M64) for r in range(10))
+
+
 def _substream(seed: int, index: int) -> Iterator[float]:
     """The uniforms of numpy's Generator(Philox(key=seed, counter=index << 192)).random().
 
@@ -178,7 +185,7 @@ def _substream(seed: int, index: int) -> Iterator[float]:
     headroom, so substreams never collide. Each block bumps the counter, then
     runs ten Philox4x64 rounds; each word w of the block gives (w >> 11)·2^-53.
     """
-    keys = [((seed + r * _PHILOX_W0) & _M64, (r * _PHILOX_W1) & _M64) for r in range(10)]
+    keys = _round_keys(seed)
     counter = index << 192
     while True:
         counter += 1
@@ -192,13 +199,6 @@ def _substream(seed: int, index: int) -> Iterator[float]:
             yield (word >> 11) * 2.0**-53
 
 
-def _draw_gain(gen: Iterator[float], dist: ExponentialUnitMean | LogUniform) -> float:
-    u = next(gen)
-    if u < _MIN_UNIFORM:
-        u = _MIN_UNIFORM
-    return dist.sample(u)
-
-
 def sample_instance(config: SweepConfig, index: int) -> ChannelSpec:
     """The instance at one sweep slot; depends only on (config.seed, index)."""
     _checked_int("index", index)
@@ -206,27 +206,23 @@ def sample_instance(config: SweepConfig, index: int) -> ChannelSpec:
         raise DomainError(
             f"index must be in [0, {config.n_samples}), got {index}"
         )
-    gen = _substream(config.seed, index)
     dist = config.gain_distribution
+    gains = (dist.sample(u if u >= _MIN_UNIFORM else _MIN_UNIFORM)
+             for u in _substream(config.seed, index))
     p_s, p_r1, p_r2 = config.power_budget
     s1, s2, s3 = config.noise
 
     if config.conditioning is Conditioning.UNCONDITIONED:
-        g01 = _draw_gain(gen, dist)
-        g02 = _draw_gain(gen, dist)
-        g13 = _draw_gain(gen, dist)
-        g23 = _draw_gain(gen, dist)
+        g01, g02, g13, g23 = next(gains), next(gains), next(gains), next(gains)
     elif config.conditioning is Conditioning.FORCE_PRODUCT_EQUAL:
         # draw three links, solve the product condition for the fourth, and
         # invert it back to a gain; redraw when the implied capacity is too
         # large to realize comfortably
         for _ in range(_MAX_REJECTIONS):
-            g01 = _draw_gain(gen, dist)
-            g02 = _draw_gain(gen, dist)
-            g13 = _draw_gain(gen, dist)
-            c01 = link_capacity(g01, p_s, s1)
-            c02 = link_capacity(g02, p_s, s2)
-            c13 = link_capacity(g13, p_r1, s3)
+            g01, g02, g13 = next(gains), next(gains), next(gains)
+            c01 = _link_capacity(g01, p_s, s1)
+            c02 = _link_capacity(g02, p_s, s2)
+            c13 = _link_capacity(g13, p_r1, s3)
             c23 = c01 * c02 / c13 if c13 > 0.0 else math.inf  # c13 underflowed: reject
             if c23 <= _MAX_FORCED_CAPACITY:
                 break
@@ -239,10 +235,8 @@ def sample_instance(config: SweepConfig, index: int) -> ChannelSpec:
     else:  # FORCE_MIRRORED
         # equal powers and noises make copying gains copy capacities exactly:
         # c02 = c13 and c01 = c23
-        g_outer = _draw_gain(gen, dist)
-        g_inner = _draw_gain(gen, dist)
-        g01, g23 = g_outer, g_outer
-        g02, g13 = g_inner, g_inner
+        g01 = g23 = next(gains)
+        g02 = g13 = next(gains)
 
     return ChannelSpec(
         g01=g01,
@@ -325,33 +319,24 @@ def run_sweep(config: SweepConfig) -> tuple[list[SweepRecord], dict[str, object]
     return records, summarize(config, records)
 
 
-def _csv_cell(value: object) -> str:
-    """One CSV cell: floats with 17 significant digits, lower-case booleans, None empty."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def write_records_csv(
     config: SweepConfig, records: Iterable[SweepRecord], stream: IO[str]
 ) -> None:
-    """One CSV row per record, numbers with 17 significant digits.
+    """One CSV row per record, floats with 17 significant digits, lower-case booleans.
 
-    The writer pins the line terminator so output is byte-identical across
-    platforms and runs.
+    Rows end in a bare newline, so output is byte-identical across platforms
+    and runs. No cell holds a comma, quote or newline, so none is quoted.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    stream.write(",".join(CSV_HEADER) + "\n")
+    seed = config.seed
     for r in records:  # the values in CSV_HEADER order
-        writer.writerow([_csv_cell(value) for value in (
-            config.seed, r.index, r.spec.g01, r.spec.g02, r.spec.g13, r.spec.g23,
-            r.caps.c01, r.caps.c02, r.caps.c13, r.caps.c23, r.caps.c012, r.caps.c123,
-            r.r_sr, r.bound, r.gap, r.lemma_case.value, r.certified,
-        )])
+        s, c = r.spec, r.caps
+        stream.write(
+            f"{seed},{r.index},{s.g01:.17g},{s.g02:.17g},{s.g13:.17g},{s.g23:.17g},"
+            f"{c.c01:.17g},{c.c02:.17g},{c.c13:.17g},{c.c23:.17g},{c.c012:.17g},{c.c123:.17g},"
+            f"{r.r_sr:.17g},{r.bound:.17g},{r.gap:.17g},{r.lemma_case.value},"
+            f"{'true' if r.certified else 'false'}\n"
+        )
 
 
 def write_summary_json(summary: dict[str, object], stream: IO[str]) -> None:

@@ -12,6 +12,7 @@ be improved, and assembles everything into a certification report.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 
 from .channel_model import (
@@ -48,6 +49,7 @@ __all__ = [
 _PRODUCT_TOL = 1e-9  # condition instances are constructed exactly; this absorbs rounding
 _CERT_GAP_REL_TOL = 1e-8
 _EQUAL_CUTS_REL_TOL = 1e-9
+_NORMAL = 2.0**-1022  # the smallest normal float
 
 
 class LemmaCase(enum.Enum):
@@ -108,10 +110,25 @@ class PerturbationSpec:
             )
 
 
+def _products(caps: LinkCapacities) -> tuple[float, float]:
+    """c01*c02 and c13*c23, both times one power of two where either is not normal.
+
+    That power keeps the larger product in [1/4, 1), so neither underflows
+    to 0 nor overflows where the other does not: ordering and relative
+    agreement are those of the exact products of the links.
+    """
+    p_source, p_relay = caps.c01 * caps.c02, caps.c13 * caps.c23
+    if not (_NORMAL <= p_source < math.inf and _NORMAL <= p_relay < math.inf):
+        (a, i), (b, j), (c, k), (d, l) = map(math.frexp, (caps.c01, caps.c02, caps.c13, caps.c23))
+        m_source, m_relay = a * b, c * d  # in [1/4, 1), or 0 where a link is 0
+        shift = max(i + j if m_source else k + l, k + l if m_relay else i + j)
+        p_source, p_relay = math.ldexp(m_source, i + j - shift), math.ldexp(m_relay, k + l - shift)
+    return p_source, p_relay
+
+
 def product_condition_holds(caps: LinkCapacities) -> bool:
     """True when c01*c02 and c13*c23 agree within 1e-9 relative."""
-    p_source = caps.c01 * caps.c02
-    p_relay = caps.c13 * caps.c23
+    p_source, p_relay = _products(caps)
     return abs(p_source - p_relay) <= _PRODUCT_TOL * max(p_source, p_relay)
 
 
@@ -140,10 +157,9 @@ def classify(caps: LinkCapacities) -> LemmaCase:
         HypothesisError: if any link capacity is 0.
     """
     _require_positive_links(caps)
-    if product_condition_holds(caps):
+    p_source, p_relay = _products(caps)
+    if abs(p_source - p_relay) <= _PRODUCT_TOL * max(p_source, p_relay):
         return LemmaCase.PRODUCT_EQUAL
-    p_source = caps.c01 * caps.c02
-    p_relay = caps.c13 * caps.c23
     if abs(caps.c01 - caps.c02) <= _PRODUCT_TOL * max(caps.c01, caps.c02) and p_source <= p_relay:
         return LemmaCase.SOURCE_SIDES_EQUAL
     if abs(caps.c13 - caps.c23) <= _PRODUCT_TOL * max(caps.c13, caps.c23) and p_source >= p_relay:

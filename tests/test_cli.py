@@ -108,6 +108,15 @@ class TestCertify:
         assert payload["capacity_certified"] is False
         assert payload["gap"] > 1e-3
 
+    def test_tiny_links_are_classified_as_at_scale_one(self, capsys):
+        # both capacity products underflow to 0.0 as plain float products
+        inst = {"c01": 1e-170, "c02": 2e-170, "c13": 3e-170, "c23": 5e-171}
+        for scale in (1.0, 1e170):
+            scaled = json.dumps({k: v * scale for k, v in inst.items()})
+            code, out, _ = run(capsys, "certify", "--input", scaled)
+            assert code == 1
+            assert json.loads(out)["lemma_case"] == "none"
+
 
 class TestInputErrors:
     def test_malformed_json(self, capsys):

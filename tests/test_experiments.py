@@ -1,5 +1,6 @@
 """Seeded sweeps: reproducibility, conditioning guarantees, CSV/JSON output."""
 
+import csv
 import io
 import itertools
 import json
@@ -10,11 +11,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diamond_relay import (
+    ChannelSpec,
     Conditioning,
     DomainError,
     ExponentialUnitMean,
+    LemmaCase,
+    LinkCapacities,
     LogUniform,
     SweepConfig,
+    SweepRecord,
     iter_records,
     product_condition_holds,
     run_sweep,
@@ -180,6 +185,13 @@ class TestSampling:
             assert product_condition_holds(record.caps)
             assert record.certified
 
+    def test_links_whose_products_underflow_are_evaluated(self):
+        # every capacity is near 1e-170, so both plain capacity products are 0.0
+        records, summary = run_sweep(small_config(n_samples=200, seed=1,
+                                                  power_budget=(1e-170,) * 3))
+        assert max(r.caps.c01 for r in records) < 1e-168
+        assert summary["lemma_case_counts"]["none"] == 200
+
     def test_relay_power_that_underflows_c13_is_refused(self, monkeypatch):
         # c13 rounds to 0 on this seed's first draw: no c23 realizes the product
         monkeypatch.setattr(experiments, "_MAX_REJECTIONS", 10)
@@ -202,6 +214,22 @@ class TestPhiloxStream:
         expected = [reference.random() for _ in range(11)]
         drawn = list(itertools.islice(_substream(seed, index), 11))
         assert [d.hex() for d in drawn] == [e.hex() for e in expected]
+
+    def test_interleaved_seeds_match_numpy_philox(self):
+        # seed a, then b, then a again, over more seeds than the key cache
+        # holds, then every seed once more after it was evicted; all streams
+        # are open at once and drawn from in turn
+        n_seeds = 3 * experiments._round_keys.cache_info().maxsize
+        seeds = [(2**61 - 1) * k % 2**64 for k in range(1, n_seeds + 1)]
+        order = [seed for a, b in zip(seeds, seeds[1:]) for seed in (a, b, a)] + seeds
+        streams = [_substream(seed, index) for index, seed in enumerate(order)]
+        drawn = [[] for _ in order]
+        for _ in range(6):  # crosses a 4-word block boundary
+            for stream, out in zip(streams, drawn):
+                out.append(next(stream).hex())
+        for index, (seed, out) in enumerate(zip(order, drawn)):
+            reference = np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+            assert out == [reference.random().hex() for _ in range(6)], (seed, index)
 
 
 class TestRecordsAndSummary:
@@ -269,6 +297,30 @@ class TestSerialization:
                 # the record's float fields, then its gains, then its capacities
                 owner = next(o for o in (record, record.spec, record.caps) if hasattr(o, name))
                 assert float(cell) == getattr(owner, name), name
+
+    def test_csv_matches_csv_writer_on_extreme_values(self):
+        # values no seeded sweep draws: zeros, the extreme doubles, a
+        # negative gap, every lemma case and both verdicts
+        tiny, huge = 5e-324, 1.7976931348623157e308
+        config = small_config(seed=2**64 - 1)
+        spec = ChannelSpec(0.0, tiny, huge, 1.0, 1.0, tiny, huge, 0.0, huge, tiny)
+        caps = LinkCapacities(tiny, 0.0, huge, 0.0, tiny, huge)
+        records = [
+            SweepRecord(2**64 - 1 - i, spec, caps, r_sr, bound, gap, case, certified)
+            for i, (case, certified) in enumerate(itertools.product(LemmaCase, (True, False)))
+            for r_sr, bound, gap in [(huge, tiny, -huge), (0.0, 0.0, -tiny), (1 / 3, 0.5, -1e-9)]
+        ]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for r in records:
+            values = [*(getattr(r.spec, name) for name in ("g01", "g02", "g13", "g23")),
+                      *r.caps.to_dict().values(), r.r_sr, r.bound, r.gap]
+            writer.writerow([config.seed, r.index, *(format(v, ".17g") for v in values),
+                             r.lemma_case.value, "true" if r.certified else "false"])
+        buf = io.StringIO()
+        write_records_csv(config, records, buf)
+        assert buf.getvalue() == expected.getvalue()
 
     def test_sweep_is_byte_identical_across_runs(self):
         config = small_config(n_samples=10, seed=987)

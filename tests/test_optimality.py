@@ -1,5 +1,7 @@
 """Classification, equalizing schedule, perturbation argument, certification."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from diamond_relay import (
     HypothesisError,
     InvariantError,
     LemmaCase,
+    LinkCapacities,
     NegativeGapError,
     PerturbationSpec,
     certify,
@@ -28,7 +31,7 @@ from diamond_relay import (
     sr_rate_min_form,
     t_star,
 )
-from oracles import SWEEP_FAMILIES, SYMMETRIES, differential_corpus
+from oracles import DIFFERENTIAL_FAMILIES, SWEEP_FAMILIES, SYMMETRIES, differential_corpus
 
 cap = st.floats(min_value=1e-2, max_value=10.0, allow_nan=False)
 
@@ -64,6 +67,24 @@ class TestClassify:
     def test_product_case_wins_overlap(self):
         # all equal satisfies every condition; only the first one certifies
         assert classify(caps_of(1.5, 1.5, 1.5, 1.5)) is LemmaCase.PRODUCT_EQUAL
+
+    def test_unchanged_under_powers_of_two(self):
+        # products of links below about 1e-154 underflow, above 1e154 overflow;
+        # multiplying every capacity by 2^k is exact, so no verdict may move
+        cases = [caps_of(2.0, 3.0, 3.0, 2.0), caps_of(1.0, 1.0, 2.0, 3.0),
+                 caps_of(2.0, 3.0, 1.0, 1.0), caps_of(1.0, 2.0, 3.0, 4.0),
+                 caps_of(1.0, 1.0 + 0.9e-9, 1.0, 1.0), caps_of(1.0, 1.0 + 1.1e-9, 1.0, 1.0)]
+        for family in DIFFERENTIAL_FAMILIES:
+            cases += differential_corpus(family, 20)
+        for caps in cases:
+            values = list(caps.to_dict().values())
+            try:
+                expected = classify(caps)
+            except HypothesisError:
+                continue
+            for k in range(-600, 601):
+                scaled = LinkCapacities(*(math.ldexp(v, k) for v in values))
+                assert classify(scaled) is expected, (k, caps)
 
     def test_zero_link_rejected(self):
         with pytest.raises(HypothesisError, match="c23"):
