@@ -5,10 +5,17 @@ everything human-oriented goes to stderr. Exit codes: 0 on success (and on a
 certified instance), 1 when certify ran fine but the instance is not
 certified, 2 on any input problem.
 
-sweep writes each CSV row as soon as its record is evaluated and keeps, per
-record, only the four fields the summary reads. A sweep that fails partway
-leaves no CSV and no summary at --output; on stdout, the rows already
-printed stay printed.
+sweep evaluates its records on one process per usable CPU: this one and
+forked workers, each taking blocks of 50 records in turn (see
+experiments.iter_records). It writes each CSV row as soon as that record
+and every earlier one are done, so the bytes do not depend on the number of
+processes. This process keeps, per record, only the four fields the summary
+reads, plus at most one block received from a worker. A worker keeps no
+records: it holds the blocks it is ahead by, no more than a pipe's buffer,
+and shares the rest of its memory with this process until one of them
+writes to it. A sweep that fails partway, in any process, leaves no CSV
+and no summary at --output and no worker running; on stdout, the rows
+before the failed record stay printed.
 """
 
 from __future__ import annotations
@@ -186,14 +193,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         conditioning=_CONDITIONING_BY_FLAG[args.conditioning],
     )
     kept: list[_Kept] = []
+    sweep = iter_records(config)
 
     def records() -> Iterator[SweepRecord]:
-        for record in iter_records(config):
+        for record in sweep:
             kept.append(_Kept(record.gap, record.bound, record.certified, record.lemma_case))
             yield record
 
     if args.output is None:
-        write_records_csv(config, records(), sys.stdout)
+        # closed on every way out, so a failed write stops the sweep's workers at once
+        with contextlib.closing(sweep):
+            write_records_csv(config, records(), sys.stdout)
         write_summary_json(summarize(config, kept), sys.stderr)
         return EXIT_OK
     csv_path = Path(args.output)
@@ -201,7 +211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     stream = open(csv_path, "w", newline="")
     summary_path = csv_path.with_suffix(".summary.json")
     try:
-        with stream:
+        with stream, contextlib.closing(sweep):
             write_records_csv(config, records(), stream)
         with open(summary_path, "w") as summary:
             write_summary_json(summarize(config, kept), summary)

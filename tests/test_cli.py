@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, formats, inputs, exit codes."""
 
+import contextlib
 import csv
 import gc
 import io
 import json
 import os
+import shlex
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from diamond_relay import DomainError, experiments
 from diamond_relay.cli import main
 
 CAPS_2332 = json.dumps({"c01": 2, "c02": 3, "c13": 3, "c23": 2})
@@ -22,6 +26,10 @@ GAINS_SNR3 = json.dumps(
         "p_s": 1.0, "p_r1": 1.0, "p_r2": 1.0,
     }
 )
+
+
+BLOCK = experiments._BLOCK
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -287,3 +295,124 @@ class TestSweep:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def python_with_two_cpus(body):
+    """A script that imports the CLI and shards every sweep over two processes."""
+    return ("import os, sys\n"
+            "from diamond_relay.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n" + body)
+
+
+@contextlib.contextmanager
+def process_group(args, **kwargs):
+    """A child in a session of its own, with the package on its path; on the
+    way out, even from a failed or timed-out test, its whole group is killed."""
+    proc = subprocess.Popen(
+        args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, env={**os.environ, "PYTHONPATH": str(SRC)}, **kwargs,
+    )
+    try:
+        yield proc
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+# script lines that print 'no child left' when the sweep left no child process
+NO_CHILD = ("try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left', file=sys.stderr)\n")
+
+
+class TestShardedSweep:
+    """sweep runs on as many processes as it has usable CPUs (see
+    experiments.iter_records); what it prints and leaves behind does not
+    depend on that."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_rows_match_one_process(self, capsys, monkeypatch):
+        argv = ("sweep", "--n", str(3 * BLOCK + 7), "--seed", "5")
+        sharded = run(capsys, *argv)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(capsys, *argv) == sharded
+        assert sharded[0] == 0
+        assert_no_child()
+
+    @pytest.mark.parametrize("bad", [BLOCK + 10, 2 * BLOCK], ids=["worker_block", "own_block"])
+    def test_error_prints_exactly_the_rows_before_it(self, capsys, monkeypatch, tmp_path, bad):
+        original = experiments.sample_instance
+
+        def sample(config, index):
+            if index == bad:
+                raise DomainError(f"no record {index}")
+            return original(config, index)
+
+        monkeypatch.setattr(experiments, "sample_instance", sample)
+        argv = ("sweep", "--n", str(3 * BLOCK + 7), "--seed", "5")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: no record {bad}\n"
+        rows = out.splitlines()
+        assert len(rows) == 1 + bad
+        assert rows[-1].startswith(f"5,{bad - 1},")
+        assert_no_child()
+
+        dest = tmp_path / "runs.csv"
+        code, _, err = run(capsys, *argv, "--output", str(dest))
+        assert (code, err) == (2, f"error: no record {bad}\n")
+        assert not dest.exists()
+        assert not (tmp_path / "runs.summary.json").exists()
+        assert_no_child()
+
+    def test_a_worker_prints_nothing_to_stdout(self):
+        # the header waits in this process's stdout buffer when the worker is
+        # forked; a flush in the worker would write it a second time
+        script = python_with_two_cpus(
+            "from diamond_relay import experiments\n"
+            "original = experiments.sample_instance\n"
+            "def sample(config, index):\n"
+            f"    if index == {BLOCK}:\n"
+            "        print('stray', flush=True)\n"
+            "    return original(config, index)\n"
+            "experiments.sample_instance = sample\n"
+            f"sys.exit(main(['sweep', '--n', '{2 * BLOCK}']))\n"
+        )
+        with process_group([sys.executable, "-c", script]) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        rows = out.splitlines()
+        assert rows[0].startswith("seed,index,")
+        assert [row.split(",")[1] for row in rows[1:]] == [str(i) for i in range(2 * BLOCK)]
+
+    def test_broken_stdout_pipe_leaves_no_child(self):
+        script = python_with_two_cpus(f"code = main(['sweep', '--n', '2000'])\n{NO_CHILD}")
+        command = f"{shlex.quote(sys.executable)} -c {shlex.quote(script)} | head -2"
+        with process_group(command, shell=True) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert out.splitlines()[0].startswith("seed,index,")
+        assert len(out.splitlines()) == 2
+        assert "Broken pipe" in err
+        assert "no child left" in err
+
+    def test_interrupt_leaves_no_child(self):
+        # SIGINT goes to the whole process group, as Ctrl-C does
+        script = python_with_two_cpus(
+            f"try:\n    main(['sweep', '--n', '100000'])\nexcept KeyboardInterrupt:\n"
+            f"    pass\n{NO_CHILD}"
+        )
+        with process_group([sys.executable, "-c", script]) as proc:
+            assert proc.stdout.readline().startswith("seed,index,")  # the sweep is running
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+        assert "no child left" in err

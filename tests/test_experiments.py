@@ -5,6 +5,11 @@ import io
 import itertools
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,8 @@ from diamond_relay import (
     LogUniform,
     SweepConfig,
     SweepRecord,
+    certify_capacities,
+    derive_capacities,
     iter_records,
     product_condition_holds,
     run_sweep,
@@ -339,3 +346,149 @@ class TestSerialization:
         parsed = json.loads(text)
         assert list(parsed) == sorted(parsed)
         assert text.endswith("\n")
+
+
+BLOCK = experiments._BLOCK
+
+
+def use_cpus(monkeypatch, count):
+    """Make iter_records see `count` usable CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def plain_records(config):
+    """The per-index loop that iter_records shards."""
+    records = []
+    for index in range(config.n_samples):
+        spec = sample_instance(config, index)
+        caps = derive_capacities(spec)
+        report = certify_capacities(caps)
+        records.append(SweepRecord(index, spec, caps, report.r_sr, report.bound, report.gap,
+                                   report.lemma_case, report.capacity_certified))
+    return records
+
+
+def csv_and_summary(config, records):
+    rows, summary = io.StringIO(), io.StringIO()
+    write_records_csv(config, records, rows)
+    write_summary_json(summarize(config, records), summary)
+    return rows.getvalue(), summary.getvalue()
+
+
+def failing_at(monkeypatch, bad, error):
+    """Patch the sampler to raise error(f"no record {bad}") at index bad, in
+    this process and in every worker forked after the patch."""
+    original = experiments.sample_instance
+
+    def sample(config, index):
+        if index == bad:
+            raise error(f"no record {index}")
+        return original(config, index)
+
+    monkeypatch.setattr(experiments, "sample_instance", sample)
+
+
+class NoPickle(Exception):
+    """An error that pickles but cannot be rebuilt from its pickle."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+class TestShardedRecords:
+    """iter_records deals blocks of BLOCK indices round-robin to this process
+    and to forked workers and yields records in index order."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("conditioning", list(Conditioning), ids=lambda c: c.value)
+    def test_bytes_match_a_plain_loop(self, monkeypatch, conditioning, n):
+        config = small_config(n_samples=n, conditioning=conditioning)
+        expected = csv_and_summary(config, plain_records(config))
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            assert csv_and_summary(config, list(iter_records(config))) == expected, cpus
+            assert_no_child()
+
+    @pytest.mark.parametrize("cpus, mine", [
+        (2, [*range(BLOCK), *range(2 * BLOCK, 3 * BLOCK)]),
+        (3, [*range(BLOCK), *range(3 * BLOCK, 3 * BLOCK + 7)]),
+    ])
+    def test_blocks_are_dealt_round_robin(self, monkeypatch, cpus, mine):
+        # workers call the sampler through the module global as this process
+        # does, so a patch reaches them, but what they append stays with them
+        original, seen = experiments.sample_instance, []
+
+        def sample(config, index):
+            seen.append(index)
+            return original(config, index)
+
+        monkeypatch.setattr(experiments, "sample_instance", sample)
+        use_cpus(monkeypatch, cpus)
+        config = small_config(n_samples=3 * BLOCK + 7)
+        assert [r.index for r in iter_records(config)] == list(range(3 * BLOCK + 7))
+        assert seen == mine
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [DomainError, ZeroDivisionError])
+    @pytest.mark.parametrize("bad", [BLOCK + 10, 2 * BLOCK], ids=["worker_block", "own_block"])
+    def test_error_comes_after_exactly_the_records_before_it(self, monkeypatch, bad, error):
+        failing_at(monkeypatch, bad, error)
+        use_cpus(monkeypatch, 2)
+        indices = []
+        with pytest.raises(error, match=f"^no record {bad}$"):
+            for record in iter_records(small_config(n_samples=3 * BLOCK + 7)):
+                indices.append(record.index)
+        assert indices == list(range(bad))
+        assert_no_child()
+
+    def test_worker_error_that_cannot_be_rebuilt_keeps_its_name(self, monkeypatch):
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(NoPickle("no record", 3)))
+        failing_at(monkeypatch, BLOCK, lambda message: NoPickle(message, 3))
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=f"^NoPickle: no record {BLOCK}$"):
+            list(iter_records(small_config(n_samples=2 * BLOCK)))
+        assert_no_child()
+
+    def test_a_worker_that_dies_is_reported(self, monkeypatch):
+        parent, original = os.getpid(), experiments.sample_instance
+
+        def sample(config, index):
+            if index == BLOCK + 1 and os.getpid() != parent:
+                os._exit(3)
+            return original(config, index)
+
+        monkeypatch.setattr(experiments, "sample_instance", sample)
+        use_cpus(monkeypatch, 2)
+        records = iter_records(small_config(n_samples=3 * BLOCK))
+        with pytest.raises(ChildProcessError, match=f"records {BLOCK}..{2 * BLOCK - 1}"):
+            for record in records:
+                assert record.index < BLOCK
+        assert_no_child()
+
+    def test_closing_early_leaves_no_child(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        records = iter_records(small_config(n_samples=3 * BLOCK + 7))
+        assert [next(records).index for _ in range(3)] == [0, 1, 2]
+        records.close()
+        assert_no_child()
+
+    def test_iterator_left_open_at_exit_is_closed_quietly(self):
+        script = (
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from diamond_relay import SweepConfig, iter_records\n"
+            f"records = iter_records(SweepConfig(n_samples={3 * BLOCK}, seed=1))\n"
+            "next(records)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")

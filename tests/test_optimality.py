@@ -322,6 +322,21 @@ class TestCertify:
         assert isinstance(info.value, InvariantError)
         assert not isinstance(info.value, DiamondRelayError)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the negative-gap guard is absolute (gap < -1e-9), so at tiny scale a "
+        "bound of 0.0 below the rate passes unnoticed (ROADMAP direction 1)",
+    )
+    def test_bound_below_rate_at_tiny_scale_is_caught(self):
+        # today: bound 0.0, gap -1.125e-170, and certify exits 1
+        caps = caps_of(1e-170, 2e-170, 3e-170, 5e-171)
+        try:
+            report = certify_capacities(caps)
+        except NegativeGapError:
+            return
+        assert report.bound >= report.r_sr, (report.bound, report.gap)
+
     def test_condition_helper_agrees_with_classifier(self):
         caps = caps_of(2.0, 3.0, 3.0, 2.0)
         assert product_condition_holds(caps)
