@@ -5,17 +5,20 @@ everything human-oriented goes to stderr. Exit codes: 0 on success (and on a
 certified instance), 1 when certify ran fine but the instance is not
 certified, 2 on any input problem.
 
-sweep evaluates its records on one process per usable CPU: this one and
-forked workers, each taking blocks of 50 records in turn (see
-experiments.iter_records). It writes each CSV row as soon as that record
-and every earlier one are done, so the bytes do not depend on the number of
-processes. This process keeps, per record, only the four fields the summary
-reads, plus at most one block received from a worker. A worker keeps no
-records: it holds the blocks it is ahead by, no more than a pipe's buffer,
-and shares the rest of its memory with this process until one of them
-writes to it. A sweep that fails partway, in any process, leaves no CSV
-and no summary at --output and no worker running; on stdout, the rows
-before the failed record stay printed.
+sweep evaluates its records on one process per usable CPU, up to 8: this
+one and forked workers, each taking blocks of 50 records in turn (see
+experiments.iter_records; the gain is measured on 2 CPUs only). It writes
+each CSV row as soon as that record and every earlier one are done, so the
+bytes do not depend on the number of processes. This process keeps, per
+record, only the four fields the summary reads, plus at most one block
+received from a worker and one of its own evaluated ahead. A worker keeps
+no records: it holds the blocks it is ahead by, no more than a pipe's
+buffer, and shares the rest of its memory with this process until one of
+them writes to it. A sweep that fails partway, in any process, leaves no
+CSV and no summary at --output and no worker running; on stdout, the rows
+before the failed record stay printed. When this process is killed
+outright (SIGKILL), its workers exit at their next block, but the partial
+CSV stays at --output.
 """
 
 from __future__ import annotations

@@ -66,6 +66,16 @@ _MIN_UNIFORM = 2.0**-53  # keeps gains strictly positive
 # and its forked workers (iter_records). On 2 vCPUs, blocks of 25 to 250 gave
 # the same records/s within noise, and blocks of 10 a little less.
 _BLOCK = 50
+# At most this many processes share a sweep. The main process also writes
+# every record's CSV row (about 16 us) and receives every other process's
+# records (about 7.5 us each), against 220-260 us to evaluate one; at 8 to
+# 10 processes it spends as long on the others' records as on its own, and
+# each further process adds less. Only 2 CPUs were measured.
+_MAX_PROCESSES = 8
+# Own blocks the main process evaluates ahead while a worker's block is late.
+# A worker's first block comes late (its first writes copy shared pages);
+# one block ahead was enough to keep the main process busy on 2 vCPUs.
+_AHEAD = 1
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al. 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -277,35 +287,44 @@ def _record(config: SweepConfig, index: int) -> SweepRecord:
 
 
 def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
-    """Records 0..n_samples-1 in index order, evaluated lazily in blocks.
+    """Records 0..n_samples-1 in index order, evaluated in blocks.
 
     The indices are cut into blocks of _BLOCK records, dealt round-robin to
-    this process and to W - 1 forked workers, where W is the number of
-    usable CPUs or of blocks, whichever is less. Each worker sends its blocks
-    down a pipe and may run a few blocks ahead; this process evaluates its
-    own blocks as they come due and yields every record in order, so the
-    bytes a consumer writes do not depend on W. With W = 1, or where the
-    platform has no os.fork or os.sched_getaffinity, nothing is forked.
+    this process and to W - 1 forked workers, where W is the least of the
+    usable CPUs, the blocks and _MAX_PROCESSES. Each worker sends its blocks
+    down a pipe and may run a few blocks ahead. This process evaluates its
+    own blocks as they come due; when a worker's block is due but not yet
+    sent, it evaluates its next own block meanwhile (at most _AHEAD of them)
+    rather than wait. Every record is yielded in index order, so the bytes a
+    consumer writes do not depend on W. Nothing is forked when W is 1, when
+    the platform has no os.fork or os.sched_getaffinity, or when another
+    Python thread is running (a forked worker would have only this thread,
+    and a lock another thread holds would stay held there). The speed-up is
+    measured on 2 CPUs only.
 
     An error in any block is raised here after exactly the records before
     it, with its type and message (a worker's traceback stays behind). No
     worker outlives the iterator: it is killed and reaped when iteration
-    ends, raises or is closed, and one whose parent is gone exits at its
-    next write.
+    ends, raises or is closed. A worker holds no read end of any pipe, so
+    one whose parent died without that cleanup (SIGKILL) fails at its next
+    write and exits.
     """
-    import pickle  # imported here: certify and the package import need neither
+    import pickle  # imported here: certify and the package import need none of these
+    import select
     import signal
+    import threading
 
     blocks = range(0, config.n_samples, _BLOCK)
     width = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        width = min(len(os.sched_getaffinity(0)), len(blocks))
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        width = min(len(os.sched_getaffinity(0)), len(blocks), _MAX_PROCESSES)
     # bound here: an iterator still open at interpreter exit is finalized
     # after the module globals have been cleared
-    getpid, kill, waitpid, sigkill = os.getpid, os.kill, os.waitpid, signal.SIGKILL
+    getpid, kill, waitpid, close, sigkill = os.getpid, os.kill, os.waitpid, os.close, signal.SIGKILL
     owner = getpid()
     pids: list[int] = []
-    streams: list[IO[bytes]] = []
+    pipes: list[int] = []  # read ends, one per worker
+    polls: list = []  # select.poll objects, each on its pipe: has a message begun?
     try:
         for worker in range(1, width):
             read_fd, write_fd = os.pipe()
@@ -315,30 +334,43 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
             try:
                 with warnings.catch_warnings():
                     # Python 3.12+ warns on fork() once numpy's BLAS has started
-                    # a thread; OpenBLAS stops its threads before a fork (an
-                    # atfork handler), and no other thread of ours holds a lock
+                    # its thread; OpenBLAS stops that thread before a fork (an
+                    # atfork handler), and no other thread runs (checked above)
                     warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                             DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
+                    for fd in (read_fd, *pipes):
+                        os.close(fd)
                     _serve(config, blocks[worker::width], write_fd)  # never returns
                 pids.append(pid)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(write_fd)
-            streams.append(open(read_fd, "rb"))
+            pipes.append(read_fd)
+            polls.append(select.poll())
+            polls[-1].register(read_fd, select.POLLIN)
+        ahead: dict[int, tuple[list[SweepRecord], Exception | None]] = {}
         for k, start in enumerate(blocks):
             stop = min(start + _BLOCK, config.n_samples)
-            if k % width == 0:
+            if k % width == 0 and k not in ahead:
                 for index in range(start, stop):
                     yield _record(config, index)
                 continue
-            try:
-                records, error = pickle.load(streams[k % width - 1])
-            except (EOFError, pickle.UnpicklingError):  # the worker died, or was killed
-                raise ChildProcessError(
-                    f"the sweep worker for records {start}..{stop - 1} ended without them"
-                ) from None
+            if k % width == 0:
+                records, error = ahead.pop(k)
+            else:
+                worker = k % width - 1
+                mine = k - k % width + width * (1 + len(ahead))  # this process's next block
+                while len(ahead) < _AHEAD and mine < len(blocks) and not polls[worker].poll(0):
+                    ahead[mine] = _block(config, blocks[mine])
+                    mine += width
+                try:
+                    records, error = pickle.loads(_receive(pipes[worker]))
+                except EOFError:  # the worker died, or was killed
+                    raise ChildProcessError(
+                        f"the sweep worker for records {start}..{stop - 1} ended without them"
+                    ) from None
             yield from records
             if error is not None:
                 raise error
@@ -347,17 +379,30 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
             for pid in pids:
                 kill(pid, sigkill)
                 waitpid(pid, 0)
-            for stream in streams:
-                stream.close()
+            for fd in pipes:
+                close(fd)
+
+
+def _block(config: SweepConfig, start: int) -> tuple[list[SweepRecord], Exception | None]:
+    """The records of the block at start up to its first error, and that error."""
+    records: list[SweepRecord] = []
+    try:
+        for index in range(start, min(start + _BLOCK, config.n_samples)):
+            records.append(_record(config, index))
+    except Exception as exc:  # iter_records raises it at its index
+        return records, exc
+    return records, None
 
 
 def _serve(config: SweepConfig, blocks: range, write_fd: int) -> None:
-    """A worker: evaluate each block, pickle it down write_fd, then exit.
+    """A worker: evaluate each block, send it down write_fd, then exit.
 
-    It ends with os._exit, so it never flushes the buffers or runs the
-    cleanup it inherited from the parent. Its stdout is /dev/null, so that
-    nothing it prints, nor the parent's unwritten output that a print would
-    flush, reaches the parent's stdout; its stderr is the parent's.
+    Each block goes as one message: its pickled (records, error), after its
+    length in 8 bytes. The worker ends with os._exit, so it never flushes the
+    buffers or runs the cleanup it inherited from the parent. Its stdout is
+    /dev/null, so that nothing it prints, nor the parent's unwritten output
+    that a print would flush, reaches the parent's stdout; its stderr is the
+    parent's.
     """
     code = 1
     try:
@@ -366,13 +411,7 @@ def _serve(config: SweepConfig, blocks: range, write_fd: int) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         with open(write_fd, "wb") as out:
             for start in blocks:
-                records: list[SweepRecord] = []
-                error: BaseException | None = None
-                try:
-                    for index in range(start, min(start + _BLOCK, config.n_samples)):
-                        records.append(_record(config, index))
-                except BaseException as exc:  # the parent raises it at its index
-                    error = exc
+                records, error = _block(config, start)
                 try:
                     message = pickle.dumps((records, error), pickle.HIGHEST_PROTOCOL)
                     if error is not None:
@@ -380,13 +419,28 @@ def _serve(config: SweepConfig, blocks: range, write_fd: int) -> None:
                 except Exception:
                     error = RuntimeError(f"{type(error).__name__}: {error}")
                     message = pickle.dumps((records, error), pickle.HIGHEST_PROTOCOL)
-                out.write(message)
+                out.write(len(message).to_bytes(8, "little") + message)
                 out.flush()
                 if error is not None:
                     break
         code = 0
     finally:
         os._exit(code)
+
+
+def _receive(fd: int) -> bytes:
+    """The next message _serve sent down the pipe fd; EOFError if it ends first."""
+    return _read_exactly(fd, int.from_bytes(_read_exactly(fd, 8), "little"))
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
 
 
 def summarize(config: SweepConfig, records: Sequence[SweepRecord]) -> dict[str, object]:

@@ -10,6 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -325,6 +326,14 @@ def process_group(args, **kwargs):
         proc.wait()
 
 
+def read_a_worker_block(proc):
+    """Read a sharded sweep's header and first two blocks of rows: the second
+    block comes from a worker, so the worker is running."""
+    assert proc.stdout.readline().startswith("seed,index,")
+    for index in range(2 * BLOCK):
+        assert proc.stdout.readline().split(",")[1] == str(index)
+
+
 # script lines that print 'no child left' when the sweep left no child process
 NO_CHILD = ("try:\n"
             "    os.waitpid(-1, os.WNOHANG)\n"
@@ -412,7 +421,39 @@ class TestShardedSweep:
             f"    pass\n{NO_CHILD}"
         )
         with process_group([sys.executable, "-c", script]) as proc:
-            assert proc.stdout.readline().startswith("seed,index,")  # the sweep is running
+            read_a_worker_block(proc)
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=120)
         assert "no child left" in err
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_killed_sweep_leaves_no_worker(self):
+        # SIGKILL runs no cleanup, so the worker must notice by itself: it
+        # holds no read end of its pipe, and its next write fails. It shares
+        # stderr with the killed process, so stderr ends only when it exits.
+        script = python_with_two_cpus("main(['sweep', '--n', '100000'])\n")
+        with process_group([sys.executable, "-c", script]) as proc:
+            read_a_worker_block(proc)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.communicate(timeout=30)
+            assert proc.returncode == -signal.SIGKILL
+            deadline = time.monotonic() + 10
+            while live_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert live_members(proc.pid) == []
+
+
+def live_members(pgid):
+    """Pids of the processes in group pgid that have not exited (zombies excluded)."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:  # it exited meanwhile
+            continue
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members

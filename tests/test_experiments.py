@@ -9,6 +9,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -393,6 +395,19 @@ def failing_at(monkeypatch, bad, error):
     monkeypatch.setattr(experiments, "sample_instance", sample)
 
 
+def recording_indices(monkeypatch):
+    """Patch the sampler to append each index it is called with to the list
+    returned, in this process; a forked worker appends to its own copy."""
+    original, seen = experiments.sample_instance, []
+
+    def sample(config, index):
+        seen.append(index)
+        return original(config, index)
+
+    monkeypatch.setattr(experiments, "sample_instance", sample)
+    return seen
+
+
 class NoPickle(Exception):
     """An error that pickles but cannot be rebuilt from its pickle."""
 
@@ -421,17 +436,37 @@ class TestShardedRecords:
     def test_blocks_are_dealt_round_robin(self, monkeypatch, cpus, mine):
         # workers call the sampler through the module global as this process
         # does, so a patch reaches them, but what they append stays with them
-        original, seen = experiments.sample_instance, []
-
-        def sample(config, index):
-            seen.append(index)
-            return original(config, index)
-
-        monkeypatch.setattr(experiments, "sample_instance", sample)
+        seen = recording_indices(monkeypatch)
         use_cpus(monkeypatch, cpus)
         config = small_config(n_samples=3 * BLOCK + 7)
         assert [r.index for r in iter_records(config)] == list(range(3 * BLOCK + 7))
         assert seen == mine
+        assert_no_child()
+
+    def test_processes_are_capped(self, monkeypatch):
+        cap = experiments._MAX_PROCESSES
+        seen = recording_indices(monkeypatch)
+        use_cpus(monkeypatch, 4 * cap)
+        config = small_config(n_samples=(cap + 1) * BLOCK)
+        assert [r.index for r in iter_records(config)] == list(range((cap + 1) * BLOCK))
+        assert seen == [*range(BLOCK), *range(cap * BLOCK, (cap + 1) * BLOCK)]
+        assert_no_child()
+
+    def test_another_thread_keeps_the_sweep_in_this_process(self, monkeypatch):
+        # a forked worker has only the forking thread, and a lock that another
+        # thread held at the fork stays held there forever
+        seen = recording_indices(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            records = list(iter_records(small_config(n_samples=2 * BLOCK)))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [r.index for r in records] == seen == list(range(2 * BLOCK))
         assert_no_child()
 
     @pytest.mark.parametrize("error", [DomainError, ZeroDivisionError])
@@ -444,6 +479,38 @@ class TestShardedRecords:
             for record in iter_records(small_config(n_samples=3 * BLOCK + 7)):
                 indices.append(record.index)
         assert indices == list(range(bad))
+        assert_no_child()
+
+    @pytest.mark.parametrize("worker_fails", [True, False])
+    def test_work_ahead_keeps_errors_in_index_order(self, monkeypatch, worker_fails):
+        # the worker's first block comes late, so this process evaluates its
+        # next block (2) meanwhile; that block fails, and its error must wait
+        # for block 1, which may fail first
+        parent, original, events = os.getpid(), experiments.sample_instance, []
+
+        def sample(config, index):
+            if os.getpid() != parent:
+                if index == BLOCK:
+                    time.sleep(0.5)
+                if worker_fails and index == BLOCK + 5:
+                    raise DomainError(f"no record {index}")
+            else:
+                events.append(("evaluated", index))
+                if index == 2 * BLOCK + 3:
+                    raise DomainError(f"no record {index}")
+            return original(config, index)
+
+        monkeypatch.setattr(experiments, "sample_instance", sample)
+        use_cpus(monkeypatch, 2)
+        bad = BLOCK + 5 if worker_fails else 2 * BLOCK + 3
+        indices = []
+        with pytest.raises(DomainError, match=f"^no record {bad}$"):
+            for record in iter_records(small_config(n_samples=4 * BLOCK)):
+                indices.append(record.index)
+                events.append(("yielded", record.index))
+        assert indices == list(range(bad))
+        assert events.index(("evaluated", 2 * BLOCK)) < events.index(("yielded", BLOCK))
+        assert ("evaluated", 2 * BLOCK + 3) in events
         assert_no_child()
 
     def test_worker_error_that_cannot_be_rebuilt_keeps_its_name(self, monkeypatch):
