@@ -1,9 +1,9 @@
 """Command-line frontend: analyze, bound, certify, sweep.
 
 Machine-readable output (JSON or flat CSV) goes to stdout or --output;
-everything human-oriented goes to stderr. Exit codes: 0 on success (and on a
-certified instance), 1 when certify ran fine but the instance is not
-certified, 2 on any input problem.
+everything human-oriented goes to stderr. Exit codes: 0 on success (and on
+a certified instance), 1 when certify ran fine but the instance is not
+certified, 2 on any input problem, 141 when stdout closes early (SIGPIPE).
 
 sweep evaluates its records on one process per usable CPU, up to 8: this
 one and forked workers, each taking blocks of 50 records in turn (see
@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from collections import namedtuple
 from dataclasses import fields
@@ -59,6 +60,7 @@ from .sr_rate import sr_rate_min_form
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_BROKEN_PIPE = 141
 
 _SPEC_FIELDS = frozenset(field.name for field in fields(ChannelSpec))
 # the four link capacities are required, the two cut capacities optional
@@ -276,6 +278,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError as exc:  # stdout's reader left early: not bad input
+        with open(os.devnull, "w") as devnull:  # fd 1 for the interpreter's last flush
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        with contextlib.suppress(BrokenPipeError):  # stderr may be the same pipe
+            print(f"error: stdout closed early: {exc}", file=sys.stderr)
+        return EXIT_BROKEN_PIPE
     except (DiamondRelayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -24,7 +24,8 @@ kernels larger than 1x1 (a pure state leaves a cut at zero) in pure Python,
 certifies the optimal one and proves which active sets can win there. The
 selection runs over those, or over all 70 without a proof; numpy does one
 array, one det (the screen) and one LAPACK solve, Python floats the rest:
-feasibility filter, tie-break, each candidate judged alone through _cuts.
+feasibility filter (tracking the best rate), tie-break (a sort only among
+two or more near-best vertices), each candidate judged alone through _cuts.
 The schedule stays LAPACK's, as the closed-form one moves its last digit.
 """
 
@@ -116,7 +117,9 @@ def cut_values(
 
 def _cuts(rows, t1: float, t2: float, t3: float, t4: float) -> tuple[float, ...]:
     """The cuts at one schedule; cut_values, _locate and _select all evaluate them here."""
-    return tuple([t1 * a + t2 * b + t3 * c + t4 * d for a, b, c, d in rows])
+    (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = rows
+    return (t1 * a0 + t2 * b0 + t3 * c0 + t4 * d0, t1 * a1 + t2 * b1 + t3 * c1 + t4 * d1,
+            t1 * a2 + t2 * b2 + t3 * c2 + t4 * d2, t1 * a3 + t2 * b3 + t3 * c3 + t4 * d3)
 
 
 def _adjugate(b) -> list[list[float]]:
@@ -169,8 +172,8 @@ def _locate(rows) -> tuple[tuple[int, ...], ...] | None:
         if v <= tol or min(slack) < -tol:
             continue
         y = [sum(col) / total for col in zip(*adj)]
-        outside = [j for j in range(4) if j not in states]
-        z = {j: v - sum([w * rows[i][j] for w, i in zip(y, cuts)]) for j in outside}
+        z = {j: v - sum([w * rows[i][j] for w, i in zip(y, cuts)])  # z_j for j outside S
+             for j in range(4) if j not in states}
         if min(y) >= -_ZERO and min(z.values(), default=0.0) >= -tol:
             break
     else:
@@ -185,31 +188,35 @@ def _locate(rows) -> tuple[tuple[int, ...], ...] | None:
         if min(y) <= 0.0 or min(z.values(), default=1.0) <= 0.0:
             return None
         reach = window + eps * (1.0 + sum(z.values()))
-        dt = [max(eps, reach / z[j]) if j in z else 0.0 for j in range(4)]
-        drate = reach * len(y) + sum([z[j] * dt[j] for j in z])
-        spill = [sum([abs(rows[i][j]) * dt[j] for j in z]) for i in cuts]  # M[C, not S] t
+        dt, pushed, spill = [0.0] * 4, 0, [0] * len(cuts)  # spill = M[C, not S] t
+        for j, w in z.items():
+            dt[j] = max(eps, reach / w)
+            pushed += w * dt[j]
+            spill = [e + abs(rows[i][j]) * dt[j] for e, i in zip(spill, cuts)]
+        drate = reach * len(y) + pushed
         shift = max([reach / w + e for w, e in zip(y, spill)])
-        inv_norm = max(sum(map(abs, row)) for row in adj) / abs(total * v)  # |B^-1|
+        inv_norm = max([sum(map(abs, row)) for row in adj]) / abs(total * v)  # |B^-1|
         for j in states:  # t_S = B^-1 (rate 1 - broken amounts - M[C, not S] t)
             dt[j] = inv_norm * (drate + shift)
     elif 4 < len(tight) <= 6 and min(rows[2][0], rows[0][1], rows[3][1], rows[3][2]) >= _TRUSTED:
         # degenerate: a candidate outranking t keeps the zero states heading the
         # tie-break order within eps of 0; the tight cuts pin the one or two left
-        rest = _TIE_ORDER[next(n for n, j in enumerate(_TIE_ORDER) if 4 + j not in tight) :]
-        slopes = [rows[i][rest[0]] - rows[i][rest[-1]] for i in tight if i < 4]
-        pin = min(max(slopes), -min(slopes)) if len(rest) == 2 else math.inf
-        if any(4 + j in tight for j in rest) or len(rest) > 2 or pin <= tol:
+        n = [4 + j in tight for j in _TIE_ORDER].index(False)  # zero states heading that order
+        first, last = _TIE_ORDER[n], _TIE_ORDER[3]
+        slopes = [rows[i][first] - rows[i][last] for i in tight if i < 4]
+        pin = min(max(slopes), -min(slopes)) if n == 2 else math.inf
+        if n < 2 or 4 + last in tight or pin <= tol:  # 3 or 4 states left, or last is 0
             return None
-        dt = [eps] * 4  # with t[rest[0]] + t[rest[1]] fixed, opposite slopes pin it
-        dt[rest[0]] = (window + eps * (1.0 + 4 * scale)) / pin
-        dt[rest[-1]] = dt[rest[0]] + 4 * eps
-        drate = window + eps + max(sum(map(abs, rows[i])) for i in tight if i < 4) * max(dt)
+        dt = [eps] * 4  # with t[first] + t[last] fixed, opposite slopes pin it
+        dt[first] = (window + eps * (1.0 + 4 * scale)) / pin
+        dt[last] = dt[first] + 4 * eps
+        drate = window + eps + max([sum(map(abs, rows[i])) for i in tight if i < 4]) * max(dt)
     else:
         return None
-    moved = [drate + (abs(p) * dt[0] + abs(q) * dt[1] + abs(r) * dt[2] + abs(s) * dt[3])
-             for p, q, r, s in rows]
-    if any(g <= 2 * d for n, (g, d) in enumerate(zip(slack + t, moved + dt)) if n not in tight):
-        return None
+    for i, (p, q, r, s) in enumerate(rows):  # each slack cut and state against its reach
+        moved = drate + (abs(p) * dt[0] + abs(q) * dt[1] + abs(r) * dt[2] + abs(s) * dt[3])
+        if i not in tight and slack[i] <= 2 * moved or 4 + i not in tight and t[i] <= 2 * dt[i]:
+            return None
     return tuple(itertools.combinations(tight, 4))  # tight is sorted
 
 
@@ -227,32 +234,31 @@ def _select(rows, sets) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
               for d, (i, j, k, m) in zip(dets, sets)]
     if not all(screen):
         a = a.compress(screen, axis=0)
-    low, feasible = -_FEASIBILITY_SLACK, []
+    low, best, feasible = -_FEASIBILITY_SLACK, -math.inf, []
     for row in np.linalg.solve(a, _RHS)[:, :, 0].tolist():
         rate, t1, t2, t3, t4 = row
         if t1 >= low and t2 >= low and t3 >= low and t4 >= low:
             if rate <= min(_cuts(rows, t1, t2, t3, t4)) + _FEASIBILITY_SLACK:
                 if all(map(math.isfinite, row)):
                     feasible.append(row)
+                    best = max(best, rate)
     if not feasible:
         return None
-    best = max(row[0] for row in feasible)
     floor = best - _TIE_REL_TOL * max(1.0, abs(best))
-    # round to 12 decimals so vertices that differ only by solve noise tie,
-    # then prefer small t in _TIE_ORDER (a stable sort). np.round(x, 12) is
-    # rint(x * 1e12) / 1e12 and sorts as rint(x * 1e12); round(x, 12) does not
-    k1, k2, k3, k4 = (1 + j for j in _TIE_ORDER)  # a row is (rate, t1, t2, t3, t4)
-    ranked = sorted(
-        (row for row in feasible if row[0] >= floor),
-        key=lambda r: (round(r[k1] * 1e12), round(r[k2] * 1e12), round(r[k3] * 1e12),
-                       round(r[k4] * 1e12)),
-    )
+    ranked = [row for row in feasible if row[0] >= floor]
+    if len(ranked) > 1:
+        # round to 12 decimals so vertices that differ only by solve noise tie,
+        # then prefer small t in _TIE_ORDER (a stable sort). np.round(x, 12) is
+        # rint(x * 1e12) / 1e12 and sorts as rint(x * 1e12); round(x, 12) does not
+        k1, k2, k3, k4 = (1 + j for j in _TIE_ORDER)  # a row is (rate, t1, t2, t3, t4)
+        ranked.sort(key=lambda r: (round(r[k1] * 1e12), round(r[k2] * 1e12),
+                                   round(r[k3] * 1e12), round(r[k4] * 1e12)))
     first = None
     for row in ranked:
         # negative entries are roundoff of a feasible vertex; <= also maps -0.0 to 0
         t = [v if v > 0.0 else 0.0 for v in row[1:]]
         total = ((t[0] + t[1]) + t[2]) + t[3]
-        t_final = tuple(v / total for v in t)
+        t_final = tuple([v / total for v in t])
         values = _cuts(rows, *t_final)
         first = first or (t_final, values)
         if min(values) >= floor:  # else clamping lost the tie window: next

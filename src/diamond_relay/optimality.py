@@ -283,12 +283,13 @@ def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
             "the bound solver is broken"
         )
 
-    condition = product_condition_holds(caps)
     warning = prediction = star = None
     try:
         case = classify(caps)
+        condition = case is LemmaCase.PRODUCT_EQUAL  # classify tests that first
     except HypothesisError:
         case = LemmaCase.NONE
+        condition = product_condition_holds(caps)
         warning = (
             "zero-capacity link: equal-branch conditions assume all four "
             "link capacities are positive"

@@ -10,11 +10,13 @@ how far solve_bound's float answer is from the true optimum.
 
 reference_select is the selection as it stood before its fixed costs were
 cut; selection_check holds the package's _select to it, bit for bit.
+reference_locate is the locate step as it stood before its margin proof was
+made straight-line; locate_check holds _locate to it, sets and None alike.
 
 The differential check near the end holds solve_bound to its own selection
 over all 70 active sets, on seeded corpora, optionally scaled;
-`python tests/oracles.py N [SCALE]` runs it and the selection check on N
-instances of each family. Both runs judge each candidate vertex on its own,
+`python tests/oracles.py N [SCALE]` runs it, the selection check and the
+locate check on N instances of each family. Both runs judge each candidate vertex on its own,
 with the same cut evaluator, so the located run can decline only when the
 determinant screen drops the located set.
 
@@ -25,6 +27,7 @@ unchanged: a correctly rounded solver gives bit-identical bounds under each.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -267,6 +270,95 @@ def selection_check(caps_list) -> int:
     return mismatches
 
 
+# -- locate as it was written before its margin proof was made straight-line --
+
+
+def reference_locate(rows) -> tuple[tuple[int, ...], ...] | None:
+    """The active sets the selection can pick, or None if unproven.
+
+    cutset_lp._locate as it stood with a comprehension per step of its margin
+    proof. The package's locate must return the same sets, or None with it.
+
+    Once t is optimal, dt[j] and drate bound how far a kept candidate (t >= -eps,
+    rate <= cut + eps, near-best) is from t: too little to tighten a slack constraint.
+    """
+    from diamond_relay.cutset_lp import (
+        _FEASIBILITY_SLACK, _KERNELS, _TIE_ORDER, _TIE_REL_TOL, _TRUSTED, _ZERO, _adjugate, _cuts,
+    )
+
+    scale = max(map(max, rows))
+    tol = _ZERO * scale
+    for cuts, states in _KERNELS if scale > 0.0 else ():
+        b = rows if len(cuts) == 4 else [[rows[i][j] for j in states] for i in cuts]
+        adj = _adjugate(b)
+        sums = [sum(row) for row in adj]
+        total = sum(sums)
+        if total == 0.0:
+            continue
+        t = [0.0] * 4
+        for j, u in zip(states, sums):
+            t[j] = u / total
+        if min(t) < -_ZERO:
+            continue
+        v = sum([x * row[0] for x, row in zip(b[0], adj)]) / total
+        slack = [cut - v for cut in _cuts(rows, *t)]
+        if v <= tol or min(slack) < -tol:
+            continue
+        y = [sum(col) / total for col in zip(*adj)]
+        outside = [j for j in range(4) if j not in states]
+        z = {j: v - sum([w * rows[i][j] for w, i in zip(y, cuts)]) for j in outside}
+        if min(y) >= -_ZERO and min(z.values(), default=0.0) >= -tol:
+            break
+    else:
+        return None
+    noise = 1e-12 * (1.0 + scale)  # roundoff of a LAPACK vertex and its cuts
+    eps = _FEASIBILITY_SLACK + noise
+    window = 2 * _TIE_REL_TOL * max(1.0, v) + noise
+    tight = [i for i in range(4) if slack[i] <= tol] + [4 + j for j in range(4) if t[j] <= _ZERO]
+    if len(tight) == 4:
+        # non-degenerate: rate - v = sum y_i (rate - cut_i) - sum z_j t_j, so a
+        # near-best point breaks cut i by <= reach / y_i, state j by <= reach / z_j
+        if min(y) <= 0.0 or min(z.values(), default=1.0) <= 0.0:
+            return None
+        reach = window + eps * (1.0 + sum(z.values()))
+        dt = [max(eps, reach / z[j]) if j in z else 0.0 for j in range(4)]
+        drate = reach * len(y) + sum([z[j] * dt[j] for j in z])
+        spill = [sum([abs(rows[i][j]) * dt[j] for j in z]) for i in cuts]  # M[C, not S] t
+        shift = max([reach / w + e for w, e in zip(y, spill)])
+        inv_norm = max(sum(map(abs, row)) for row in adj) / abs(total * v)  # |B^-1|
+        for j in states:  # t_S = B^-1 (rate 1 - broken amounts - M[C, not S] t)
+            dt[j] = inv_norm * (drate + shift)
+    elif 4 < len(tight) <= 6 and min(rows[2][0], rows[0][1], rows[3][1], rows[3][2]) >= _TRUSTED:
+        # degenerate: a candidate outranking t keeps the zero states heading the
+        # tie-break order within eps of 0; the tight cuts pin the one or two left
+        rest = _TIE_ORDER[next(n for n, j in enumerate(_TIE_ORDER) if 4 + j not in tight) :]
+        slopes = [rows[i][rest[0]] - rows[i][rest[-1]] for i in tight if i < 4]
+        pin = min(max(slopes), -min(slopes)) if len(rest) == 2 else math.inf
+        if any(4 + j in tight for j in rest) or len(rest) > 2 or pin <= tol:
+            return None
+        dt = [eps] * 4  # with t[rest[0]] + t[rest[1]] fixed, opposite slopes pin it
+        dt[rest[0]] = (window + eps * (1.0 + 4 * scale)) / pin
+        dt[rest[-1]] = dt[rest[0]] + 4 * eps
+        drate = window + eps + max(sum(map(abs, rows[i])) for i in tight if i < 4) * max(dt)
+    else:
+        return None
+    moved = [drate + (abs(p) * dt[0] + abs(q) * dt[1] + abs(r) * dt[2] + abs(s) * dt[3])
+             for p, q, r, s in rows]
+    if any(g <= 2 * d for n, (g, d) in enumerate(zip(slack + t, moved + dt)) if n not in tight):
+        return None
+    return tuple(itertools.combinations(tight, 4))  # tight is sorted
+
+
+def locate_check(caps_list) -> int:
+    """Instances where _locate and reference_locate return different sets or None."""
+    from diamond_relay import cutset_lp
+
+    return sum(
+        cutset_lp._locate(rows) != reference_locate(rows)
+        for rows in map(cutset_lp._cut_rows, caps_list)
+    )
+
+
 # -- solve_bound against the selection over all 70 active sets ------------
 
 DIFFERENTIAL_FAMILIES = ("unconditioned", "force_product_equal", "force_mirrored", "wide")
@@ -374,8 +466,8 @@ SYMMETRIES = {
 
 
 if __name__ == "__main__":
-    # python tests/oracles.py N [SCALE]: the differential and selection checks on
-    # N instances a family, every capacity multiplied by SCALE (default 1)
+    # python tests/oracles.py N [SCALE]: the differential, selection and locate
+    # checks on N instances a family, every capacity multiplied by SCALE (default 1)
     import sys
 
     size = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
@@ -384,4 +476,5 @@ if __name__ == "__main__":
         corpus = differential_corpus(name, size, scale=factor)
         bad, counts = differential_check(corpus)
         print(f"{name} x{factor:g}: {size} instances, {bad} mismatches, paths {counts}, "
-              f"{selection_check(corpus)} selection mismatches", flush=True)
+              f"{selection_check(corpus)} selection mismatches, "
+              f"{locate_check(corpus)} locate mismatches", flush=True)

@@ -297,6 +297,20 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # a reader that stops early is not bad input: exit 128 + SIGPIPE, one line on stderr
+        script = ("import sys\nfrom diamond_relay.cli import main\n"
+                  "sys.exit(main(['sweep', '--n', '2000']))\n")
+        with process_group([sys.executable, "-c", script]) as proc:
+            assert proc.stdout.readline().startswith("seed,index,")
+            assert proc.stdout.readline().startswith("0,0,")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141, err
+        assert "Broken pipe" in err
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
 
 def assert_no_child():
     with pytest.raises(ChildProcessError):

@@ -32,6 +32,7 @@ from oracles import (
     exact_bound,
     grid_oracle_bound,
     grid_oracle_bound_naive,
+    locate_check,
     min_cut,
     selection_check,
 )
@@ -351,6 +352,30 @@ class TestSelectionParity:
     @PINNED_PATHS
     def test_pinned_input(self, caps, path):
         assert selection_check([caps]) == 0
+
+
+class TestLocateParity:
+    """_locate against its earlier form, kept in oracles.reference_locate: the
+    same active sets, or None from both. A None falls back to all 70 sets and
+    cannot move a bound, so this holds the proof itself, not the bytes."""
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 1e-3, 1.0, 1e3, 2.0**20])
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_corpus_at_each_scale(self, family, scale):
+        assert locate_check(differential_corpus(family, 50, seed=11, scale=scale)) == 0
+
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_near_the_proof_thresholds(self, family, monkeypatch):
+        # a wider feasibility slack widens every margin, so across these slacks the
+        # proof declines on some instances and not on others: both forms must agree
+        corpus = differential_corpus(family, 50, seed=11)
+        for k in range(21):
+            monkeypatch.setattr(cutset_lp, "_FEASIBILITY_SLACK", 10.0 ** (-6 + k / 4))
+            assert locate_check(corpus) == 0, cutset_lp._FEASIBILITY_SLACK
+
+    @PINNED_PATHS
+    def test_pinned_input(self, caps, path):
+        assert locate_check([caps]) == 0
 
 
 class TestNumpyWarnings:

@@ -276,6 +276,24 @@ class TestRecordsAndSummary:
         assert summary["seed"] == 12345
 
 
+class TestPatchPoints:
+    """A sweep reaches its layers through experiments' module globals, where a
+    caller may wrap them (the benchmark's spans do), once per record."""
+
+    def test_each_layer_runs_once_per_record(self, monkeypatch):
+        # 50 records are one block, so nothing is forked and every call is seen here
+        calls = {}
+        for name in ("sample_instance", "derive_capacities", "certify_capacities"):
+            def counted(*args, _name=name, _layer=getattr(experiments, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _layer(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+        records, _ = run_sweep(small_config(n_samples=50))
+        assert len(records) == 50
+        assert calls == {"sample_instance": 50, "derive_capacities": 50, "certify_capacities": 50}
+
+
 class TestSerialization:
     def test_csv_header_is_stable(self):
         buf = io.StringIO()

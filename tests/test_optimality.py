@@ -341,3 +341,40 @@ class TestCertify:
         caps = caps_of(2.0, 3.0, 3.0, 2.0)
         assert product_condition_holds(caps)
         assert not product_condition_holds(caps_of(1.0, 1.0, 2.0, 2.0))
+
+    @pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**20])
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_condition_is_the_product_test(self, family, scale):
+        # certify reads the condition from classify, or from the product test
+        # itself when classify refuses a zero link
+        for caps in differential_corpus(family, 50, seed=5, scale=scale):
+            assert certify_capacities(caps).condition_holds == product_condition_holds(caps)
+
+
+class TestPatchPoints:
+    """certify_capacities reaches its layers through optimality's module
+    globals, where a caller may wrap them (the benchmark's spans do): each
+    wrapper must see exactly the calls the certificate makes."""
+
+    LAYERS = ("sr_rate_min_form", "solve_bound", "classify", "t_star")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = dict.fromkeys(self.LAYERS, 0)
+        for name in self.LAYERS:
+            def counted(*args, _name=name, _layer=getattr(optimality, name)):
+                calls[_name] += 1
+                return _layer(*args)
+
+            monkeypatch.setattr(optimality, name, counted)
+        return calls
+
+    def test_product_equal_instance_runs_each_layer_once(self, calls):
+        report = certify_capacities(caps_of(2.0, 3.0, 3.0, 2.0))
+        assert report.lemma_case is LemmaCase.PRODUCT_EQUAL
+        assert calls == dict.fromkeys(self.LAYERS, 1)
+
+    def test_unconditioned_instance_runs_no_t_star(self, calls):
+        report = certify_capacities(caps_of(1.0, 2.0, 3.0, 5.0))
+        assert report.lemma_case is LemmaCase.NONE
+        assert calls == {"sr_rate_min_form": 1, "solve_bound": 1, "classify": 1, "t_star": 0}
