@@ -62,9 +62,8 @@ _MAX_REJECTIONS = 100_000
 
 _MIN_UNIFORM = 2.0**-53  # keeps gains strictly positive
 
-# Records per block of a sweep; blocks are dealt round-robin to this process
-# and its forked workers (iter_records). On 2 vCPUs, blocks of 25 to 250 gave
-# the same records/s within noise, and blocks of 10 a little less.
+# Records per block of a sweep (iter_records). On 2 vCPUs, blocks of 25 to
+# 250 gave the same records/s within noise, and blocks of 10 a little less.
 _BLOCK = 50
 # At most this many processes share a sweep. The main process also writes
 # every record's CSV row (about 16 us) and receives every other process's
@@ -72,10 +71,6 @@ _BLOCK = 50
 # 10 processes it spends as long on the others' records as on its own, and
 # each further process adds less. Only 2 CPUs were measured.
 _MAX_PROCESSES = 8
-# Own blocks the main process evaluates ahead while a worker's block is late.
-# A worker's first block comes late (its first writes copy shared pages);
-# one block ahead was enough to keep the main process busy on 2 vCPUs.
-_AHEAD = 1
 
 # Philox4x64-10 multipliers and Weyl key increments (Salmon et al. 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -292,15 +287,15 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
     The indices are cut into blocks of _BLOCK records, dealt round-robin to
     this process and to W - 1 forked workers, where W is the least of the
     usable CPUs, the blocks and _MAX_PROCESSES. Each worker sends its blocks
-    down a pipe and may run a few blocks ahead. This process evaluates its
-    own blocks as they come due; when a worker's block is due but not yet
-    sent, it evaluates its next own block meanwhile (at most _AHEAD of them)
-    rather than wait. Every record is yielded in index order, so the bytes a
-    consumer writes do not depend on W. Nothing is forked when W is 1, when
-    the platform has no os.fork or os.sched_getaffinity, or when another
-    Python thread is running (a forked worker would have only this thread,
-    and a lock another thread holds would stay held there). The speed-up is
-    measured on 2 CPUs only.
+    down a pipe and may run a few blocks ahead. The blocks are taken in
+    index order. This process evaluates each of its own blocks whole; before
+    it waits for a worker's block, it evaluates its own next block if it has
+    not yet, so it holds at most one block ahead. Every record is yielded in
+    index order, so the bytes a consumer writes do not depend on W. Nothing
+    is forked when W is 1, when the platform has no os.fork or
+    os.sched_getaffinity, or when another Python thread is running (a forked
+    worker would have only this thread, and a lock another thread holds
+    would stay held there). The speed-up is measured on 2 CPUs only.
 
     An error in any block is raised here after exactly the records before
     it, with its type and message (a worker's traceback stays behind). No
@@ -310,7 +305,6 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
     write and exits.
     """
     import pickle  # imported here: certify and the package import need none of these
-    import select
     import signal
     import threading
 
@@ -320,14 +314,14 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
         width = min(len(os.sched_getaffinity(0)), len(blocks), _MAX_PROCESSES)
     # bound here: an iterator still open at interpreter exit is finalized
     # after the module globals have been cleared
-    getpid, kill, waitpid, close, sigkill = os.getpid, os.kill, os.waitpid, os.close, signal.SIGKILL
+    getpid, kill, waitpid, sigkill = os.getpid, os.kill, os.waitpid, signal.SIGKILL
     owner = getpid()
     pids: list[int] = []
-    pipes: list[int] = []  # read ends, one per worker
-    polls: list = []  # select.poll objects, each on its pipe: has a message begun?
+    pipes: list[IO[bytes]] = []  # read ends, one per worker
     try:
         for worker in range(1, width):
             read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
             # SIGINT stays blocked in the worker, so Ctrl-C reaches only this
             # process, and here it waits until the worker is on the list
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -340,34 +334,26 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
                                             DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:
-                    for fd in (read_fd, *pipes):
-                        os.close(fd)
+                    for pipe in pipes:
+                        pipe.close()
                     _serve(config, blocks[worker::width], write_fd)  # never returns
                 pids.append(pid)
-            finally:
+            finally:  # in this process only, whether or not the fork failed
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(write_fd)
-            pipes.append(read_fd)
-            polls.append(select.poll())
-            polls[-1].register(read_fd, select.POLLIN)
-        ahead: dict[int, tuple[list[SweepRecord], Exception | None]] = {}
+                os.close(write_fd)
+        ahead = None  # this process's next block, once evaluated
         for k, start in enumerate(blocks):
-            stop = min(start + _BLOCK, config.n_samples)
-            if k % width == 0 and k not in ahead:
-                for index in range(start, stop):
-                    yield _record(config, index)
-                continue
             if k % width == 0:
-                records, error = ahead.pop(k)
+                records, error = ahead or _block(config, start)
+                ahead = None
             else:
-                worker = k % width - 1
-                mine = k - k % width + width * (1 + len(ahead))  # this process's next block
-                while len(ahead) < _AHEAD and mine < len(blocks) and not polls[worker].poll(0):
-                    ahead[mine] = _block(config, blocks[mine])
-                    mine += width
+                mine = k - k % width + width
+                if ahead is None and mine < len(blocks):
+                    ahead = _block(config, blocks[mine])
                 try:
-                    records, error = pickle.loads(_receive(pipes[worker]))
-                except EOFError:  # the worker died, or was killed
+                    records, error = pickle.load(pipes[k % width - 1])
+                except (EOFError, pickle.UnpicklingError):  # cut off: the worker died or was killed
+                    stop = min(start + _BLOCK, config.n_samples)
                     raise ChildProcessError(
                         f"the sweep worker for records {start}..{stop - 1} ended without them"
                     ) from None
@@ -379,8 +365,8 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
             for pid in pids:
                 kill(pid, sigkill)
                 waitpid(pid, 0)
-            for fd in pipes:
-                close(fd)
+            for pipe in pipes:
+                pipe.close()
 
 
 def _block(config: SweepConfig, start: int) -> tuple[list[SweepRecord], Exception | None]:
@@ -397,12 +383,11 @@ def _block(config: SweepConfig, start: int) -> tuple[list[SweepRecord], Exceptio
 def _serve(config: SweepConfig, blocks: range, write_fd: int) -> None:
     """A worker: evaluate each block, send it down write_fd, then exit.
 
-    Each block goes as one message: its pickled (records, error), after its
-    length in 8 bytes. The worker ends with os._exit, so it never flushes the
-    buffers or runs the cleanup it inherited from the parent. Its stdout is
-    /dev/null, so that nothing it prints, nor the parent's unwritten output
-    that a print would flush, reaches the parent's stdout; its stderr is the
-    parent's.
+    Each block goes as one pickle of its (records, error). The worker ends
+    with os._exit, so it never flushes the buffers or runs the cleanup it
+    inherited from the parent. Its stdout is /dev/null, so that nothing it
+    prints, nor the parent's unwritten output that a print would flush,
+    reaches the parent's stdout; its stderr is the parent's.
     """
     code = 1
     try:
@@ -419,28 +404,13 @@ def _serve(config: SweepConfig, blocks: range, write_fd: int) -> None:
                 except Exception:
                     error = RuntimeError(f"{type(error).__name__}: {error}")
                     message = pickle.dumps((records, error), pickle.HIGHEST_PROTOCOL)
-                out.write(len(message).to_bytes(8, "little") + message)
+                out.write(message)
                 out.flush()
                 if error is not None:
                     break
         code = 0
     finally:
         os._exit(code)
-
-
-def _receive(fd: int) -> bytes:
-    """The next message _serve sent down the pipe fd; EOFError if it ends first."""
-    return _read_exactly(fd, int.from_bytes(_read_exactly(fd, 8), "little"))
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise EOFError
-        data += chunk
-    return data
 
 
 def summarize(config: SweepConfig, records: Sequence[SweepRecord]) -> dict[str, object]:

@@ -126,10 +126,14 @@ def _products(caps: LinkCapacities) -> tuple[float, float]:
     return p_source, p_relay
 
 
+def _agree(x: float, y: float) -> bool:
+    """True when x and y agree within 1e-9 relative."""
+    return abs(x - y) <= _PRODUCT_TOL * max(x, y)
+
+
 def product_condition_holds(caps: LinkCapacities) -> bool:
     """True when c01*c02 and c13*c23 agree within 1e-9 relative."""
-    p_source, p_relay = _products(caps)
-    return abs(p_source - p_relay) <= _PRODUCT_TOL * max(p_source, p_relay)
+    return _agree(*_products(caps))
 
 
 def _require_positive_links(caps: LinkCapacities) -> None:
@@ -158,11 +162,11 @@ def classify(caps: LinkCapacities) -> LemmaCase:
     """
     _require_positive_links(caps)
     p_source, p_relay = _products(caps)
-    if abs(p_source - p_relay) <= _PRODUCT_TOL * max(p_source, p_relay):
+    if _agree(p_source, p_relay):
         return LemmaCase.PRODUCT_EQUAL
-    if abs(caps.c01 - caps.c02) <= _PRODUCT_TOL * max(caps.c01, caps.c02) and p_source <= p_relay:
+    if _agree(caps.c01, caps.c02) and p_source <= p_relay:
         return LemmaCase.SOURCE_SIDES_EQUAL
-    if abs(caps.c13 - caps.c23) <= _PRODUCT_TOL * max(caps.c13, caps.c23) and p_source >= p_relay:
+    if _agree(caps.c13, caps.c23) and p_source >= p_relay:
         return LemmaCase.RELAY_SIDES_EQUAL
     return LemmaCase.NONE
 

@@ -1,6 +1,7 @@
 """Seeded sweeps: reproducibility, conditioning guarantees, CSV/JSON output."""
 
 import csv
+import errno
 import io
 import itertools
 import json
@@ -10,7 +11,6 @@ import pickle
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -501,15 +501,13 @@ class TestShardedRecords:
 
     @pytest.mark.parametrize("worker_fails", [True, False])
     def test_work_ahead_keeps_errors_in_index_order(self, monkeypatch, worker_fails):
-        # the worker's first block comes late, so this process evaluates its
-        # next block (2) meanwhile; that block fails, and its error must wait
-        # for block 1, which may fail first
+        # this process evaluates its next block (2) before it reads the
+        # worker's block 1; block 2 fails, and its error must wait for
+        # block 1, which may fail first
         parent, original, events = os.getpid(), experiments.sample_instance, []
 
         def sample(config, index):
             if os.getpid() != parent:
-                if index == BLOCK:
-                    time.sleep(0.5)
                 if worker_fails and index == BLOCK + 5:
                     raise DomainError(f"no record {index}")
             else:
@@ -554,6 +552,44 @@ class TestShardedRecords:
         with pytest.raises(ChildProcessError, match=f"records {BLOCK}..{2 * BLOCK - 1}"):
             for record in records:
                 assert record.index < BLOCK
+        assert_no_child()
+
+    def test_a_worker_message_cut_short_is_reported(self, monkeypatch):
+        parent, original = os.getpid(), pickle.dumps
+
+        def dumps(obj, protocol):  # the worker sends half of each message
+            message = original(obj, protocol)
+            return message if os.getpid() == parent else message[:len(message) // 2]
+
+        # half a block's message is truncated data, not an end of input
+        block = (plain_records(small_config(n_samples=BLOCK)), None)
+        message = original(block, pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(pickle.UnpicklingError):
+            pickle.loads(message[:len(message) // 2])
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        use_cpus(monkeypatch, 2)
+        records = iter_records(small_config(n_samples=2 * BLOCK))
+        with pytest.raises(ChildProcessError, match=f"records {BLOCK}..{2 * BLOCK - 1}"):
+            for record in records:
+                assert record.index < BLOCK
+        assert_no_child()
+
+    def test_a_failed_fork_leaks_no_descriptor(self, monkeypatch):
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(monkeypatch, 3)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            list(iter_records(small_config(n_samples=3 * BLOCK)))
+        assert len(forks) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
         assert_no_child()
 
     def test_closing_early_leaves_no_child(self, monkeypatch):
