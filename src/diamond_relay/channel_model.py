@@ -18,7 +18,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import DomainError
 
@@ -57,6 +57,17 @@ def _checked_value(
     if low is not None and (value <= low if strict else value < low):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value}")
     return value
+
+
+def _check_fields(
+    obj: object, names: Iterable[str], low: float | None = 0.0, strict: Container[str] = ()
+) -> None:
+    """obj's named fields through _checked_value in order, each changed value written back."""
+    for name in names:
+        value = getattr(obj, name)
+        checked = _checked_value(name, value, low, name in strict)
+        if checked is not value:
+            object.__setattr__(obj, name, checked)
 
 
 def _checked_reals(
@@ -142,11 +153,8 @@ class ChannelSpec:
     p_r2: float
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:  # gains, powers >= 0; noise variances > 0
-            value = getattr(self, name)
-            checked = _checked_value(name, value, 0.0, name.startswith("sigma"))
-            if checked is not value:
-                object.__setattr__(self, name, checked)
+        _check_fields(self, self.__dataclass_fields__,  # gains, powers >= 0
+                      strict=("sigma1_sq", "sigma2_sq", "sigma3_sq"))  # noise variances > 0
 
     to_dict = plain_dict
 
@@ -175,11 +183,7 @@ class LinkCapacities:
     c123: float
 
     def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            checked = _checked_value(name, value, 0.0)
-            if checked is not value:
-                object.__setattr__(self, name, checked)
+        _check_fields(self, self.__dataclass_fields__)
         for cut, a, b, side in (("c012", "c01", "c02", "source"), ("c123", "c13", "c23", "relay")):
             value = getattr(self, cut)
             strongest = max(getattr(self, a), getattr(self, b))

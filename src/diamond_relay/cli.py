@@ -8,9 +8,9 @@ certified, 2 on any input problem, 141 when stdout closes early (SIGPIPE).
 sweep writes each CSV row as experiments.iter_records yields its record
 (that docstring gives how records are spread over processes) and keeps, per
 record, only the four fields the summary reads. A sweep that fails partway
-leaves no CSV and no summary at --output; on stdout, the rows before the
-failed record stay printed. When this process is killed outright (SIGKILL),
-the partial CSV stays at --output.
+leaves no CSV and no summary as regular files at --output; on stdout, the
+rows before the failed record stay printed. When this process is killed
+outright (SIGKILL), the partial CSV stays at --output.
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             write_summary_json(summarize(config, kept), summary)
     except BaseException:
         # an earlier run's summary would describe a CSV that is gone
-        csv_path.unlink(missing_ok=True)
-        summary_path.unlink(missing_ok=True)
+        for path in (csv_path, summary_path):
+            if path.is_file():  # a FIFO or device named at --output is not the sweep's
+                path.unlink(missing_ok=True)
         raise
     return EXIT_OK
 

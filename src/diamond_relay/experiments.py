@@ -27,8 +27,8 @@ from typing import IO, Iterable, Iterator, Sequence
 from .channel_model import (
     ChannelSpec,
     LinkCapacities,
+    _check_fields,
     _checked_reals,
-    _checked_value,
     _link_capacity,
     derive_capacities,
     gain_for_capacity,
@@ -97,8 +97,7 @@ class LogUniform:
     hi: float
 
     def __post_init__(self) -> None:
-        for name in ("lo", "hi"):
-            object.__setattr__(self, name, _checked_value(name, getattr(self, name)))
+        _check_fields(self, ("lo", "hi"), None)
         if not 0.0 < self.lo < self.hi:
             raise DomainError(f"need 0 < lo < hi, got lo = {self.lo}, hi = {self.hi}")
         object.__setattr__(self, "_logs", (math.log(self.lo), math.log(self.hi)))  # not a field

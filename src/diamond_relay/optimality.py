@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .channel_model import (
     ChannelSpec,
     LinkCapacities,
-    _checked_value,
+    _check_fields,
     derive_capacities,
     plain_dict,
 )
@@ -98,10 +98,8 @@ class PerturbationSpec:
     delta: float
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            low = 0.0 if field.name in ("epsilon", "eta") else None
-            value = _checked_value(field.name, getattr(self, field.name), low)
-            object.__setattr__(self, field.name, value)
+        _check_fields(self, ("epsilon", "eta"))
+        _check_fields(self, ("gamma", "delta"), None)
         imbalance = self.gamma + self.delta - self.epsilon - self.eta
         if abs(imbalance) > 1e-12:
             raise DomainError(

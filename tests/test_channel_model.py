@@ -12,6 +12,8 @@ from diamond_relay import (
     ChannelSpec,
     DomainError,
     LinkCapacities,
+    LogUniform,
+    PerturbationSpec,
     SweepConfig,
     derive_capacities,
     gain_for_capacity,
@@ -226,6 +228,88 @@ class TestLinkCapacitiesValidation:
         caps = induced_capacities(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(AttributeError):
             caps.c01 = 2.0
+
+
+# each record type with valid fields, in field order
+RECORDS = {
+    "ChannelSpec": (ChannelSpec, dict(
+        g01=1.0, g02=1.0, g13=1.0, g23=1.0, sigma1_sq=1.0, sigma2_sq=1.0, sigma3_sq=1.0,
+        p_s=1.0, p_r1=1.0, p_r2=1.0)),
+    "LinkCapacities": (LinkCapacities, dict(
+        c01=1.0, c02=1.0, c13=1.0, c23=1.0, c012=2.0, c123=2.0)),
+    "LogUniform": (LogUniform, dict(lo=0.5, hi=2.0)),
+    "PerturbationSpec": (PerturbationSpec, dict(epsilon=0.1, eta=0.0, gamma=0.05, delta=0.05)),
+}
+
+
+class TestRecordFields:
+    """Every validated record checks its fields the same way: the first bad
+    field in field order (not argument order) is reported, with _checked_value's
+    message or the record's own check after it; good fields come back as plain
+    floats, -0.0 as 0.0."""
+
+    @pytest.mark.parametrize(
+        "record, overrides, want",
+        [
+            ("ChannelSpec", {"g13": True}, "g13 must be a real number, got True"),
+            ("ChannelSpec", {"p_s": "1.0"}, "p_s must be a real number, got '1.0'"),
+            ("ChannelSpec", {"g02": math.nan}, "g02 must be finite, got nan"),
+            ("ChannelSpec", {"sigma3_sq": math.inf}, "sigma3_sq must be finite, got inf"),
+            ("ChannelSpec", {"p_r1": -math.inf}, "p_r1 must be finite, got -inf"),
+            ("ChannelSpec", {"p_r2": -1.0}, "p_r2 must be >= 0, got -1.0"),
+            ("ChannelSpec", {"sigma2_sq": 0.0}, "sigma2_sq must be > 0, got 0.0"),
+            ("ChannelSpec", {"sigma1_sq": -0.0}, "sigma1_sq must be > 0, got 0.0"),
+            ("ChannelSpec", {"g23": -0.0, "p_r1": 2}, {"g23": 0.0, "p_r1": 2.0}),
+            ("ChannelSpec", {"p_r2": math.nan, "g01": -1.0}, "g01 must be >= 0, got -1.0"),
+            ("LinkCapacities", {"c02": False}, "c02 must be a real number, got False"),
+            ("LinkCapacities", {"c13": "1"}, "c13 must be a real number, got '1'"),
+            ("LinkCapacities", {"c012": math.nan}, "c012 must be finite, got nan"),
+            ("LinkCapacities", {"c123": math.inf}, "c123 must be finite, got inf"),
+            ("LinkCapacities", {"c23": -math.inf}, "c23 must be finite, got -inf"),
+            ("LinkCapacities", {"c01": -1.0}, "c01 must be >= 0, got -1.0"),
+            ("LinkCapacities", {"c13": -0.0, "c01": 1, "c123": 2},
+             {"c13": 0.0, "c01": 1.0, "c123": 2.0}),
+            ("LinkCapacities", {"c012": -1.0, "c01": math.nan}, "c01 must be finite, got nan"),
+            ("LinkCapacities", {"c012": 0.5},
+             "c012 = 0.5 is below max(c01, c02) = 1.0; "
+             "the joint source cut cannot be weaker than its strongest link"),
+            ("LogUniform", {"hi": True}, "hi must be a real number, got True"),
+            ("LogUniform", {"lo": "0.5"}, "lo must be a real number, got '0.5'"),
+            ("LogUniform", {"lo": math.nan}, "lo must be finite, got nan"),
+            ("LogUniform", {"hi": math.inf}, "hi must be finite, got inf"),
+            ("LogUniform", {"lo": -math.inf}, "lo must be finite, got -inf"),
+            ("LogUniform", {"lo": -1.0}, "need 0 < lo < hi, got lo = -1.0, hi = 2.0"),
+            ("LogUniform", {"lo": -0.0}, "need 0 < lo < hi, got lo = 0.0, hi = 2.0"),
+            ("LogUniform", {"lo": 1, "hi": 4}, {"lo": 1.0, "hi": 4.0}),
+            ("LogUniform", {"hi": math.nan, "lo": True}, "lo must be a real number, got True"),
+            ("PerturbationSpec", {"eta": True}, "eta must be a real number, got True"),
+            ("PerturbationSpec", {"gamma": "0.05"}, "gamma must be a real number, got '0.05'"),
+            ("PerturbationSpec", {"delta": math.nan}, "delta must be finite, got nan"),
+            ("PerturbationSpec", {"epsilon": math.inf}, "epsilon must be finite, got inf"),
+            ("PerturbationSpec", {"gamma": -math.inf}, "gamma must be finite, got -inf"),
+            ("PerturbationSpec", {"epsilon": -0.1}, "epsilon must be >= 0, got -0.1"),
+            ("PerturbationSpec", {"gamma": -0.05, "delta": 0.15}, {"gamma": -0.05, "delta": 0.15}),
+            ("PerturbationSpec", {"eta": -0.0, "epsilon": 1, "gamma": 1, "delta": 0},
+             {"eta": 0.0, "epsilon": 1.0, "gamma": 1.0, "delta": 0.0}),
+            ("PerturbationSpec", {"gamma": math.nan, "eta": -1.0}, "eta must be >= 0, got -1.0"),
+            ("PerturbationSpec", {"delta": True, "gamma": math.nan},
+             "gamma must be finite, got nan"),
+            ("PerturbationSpec", {"epsilon": 0.5, "eta": 0.25, "gamma": 0.25, "delta": 1.0},
+             "gamma + delta must equal epsilon + eta (time conservation); off by 0.5"),
+        ],
+    )
+    def test_message_or_normalised_fields(self, record, overrides, want):
+        # want is the DomainError message, or the fields' values after the check
+        cls, valid = RECORDS[record]
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as exc:
+                cls(**{**valid, **overrides})
+            assert str(exc.value) == want
+        else:
+            obj = cls(**{**valid, **overrides})
+            for name, value in want.items():
+                got = getattr(obj, name)
+                assert type(got) is float and repr(got) == repr(value), name
 
 
 class _FloatSubclass(float):

@@ -8,6 +8,7 @@ import json
 import os
 import shlex
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from diamond_relay import DomainError, experiments
+from diamond_relay import DomainError, cli, experiments
 from diamond_relay.cli import main
 
 CAPS_2332 = json.dumps({"c01": 2, "c02": 3, "c13": 3, "c23": 2})
@@ -261,6 +262,68 @@ class TestSweep:
         assert "rejected every draw" in err
         assert not dest.exists()
         assert not (tmp_path / "F.summary.json").exists()
+
+    @pytest.mark.parametrize("fifo_at", ["output", "summary"])
+    def test_failed_sweep_leaves_a_fifo(self, capsys, tmp_path, fifo_at):
+        """Only regular files are removed: a FIFO at --output, or at the
+        summary path next to a regular CSV, outlives a failing sweep."""
+        dest = tmp_path / "F"
+        fifo = dest if fifo_at == "output" else tmp_path / "F.summary.json"
+        if fifo_at == "summary":
+            dest.write_text("an earlier run's CSV\n")
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening it to write returns
+        try:
+            code, _, err = run(
+                capsys,
+                "sweep", "--n", "1", "--conditioning", "force-product-equal",
+                "--distribution", "log-uniform:1e20,1e21", "--output", str(dest),
+            )
+        finally:
+            os.close(reader)
+        assert code == 2
+        assert "rejected every draw" in err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        if fifo_at == "summary":
+            assert not dest.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_rows_and_summary_go_through_the_module_names(
+        self, capsys, monkeypatch, tmp_path, to_file
+    ):
+        """A sweep looks up cli.write_records_csv and cli.summarize at call
+        time and writes every row through the former, so a wrapper set on
+        either name sees the whole sweep once and leaves its bytes alone."""
+        argv = ["sweep", "--n", "5", "--seed", "3"]
+        if to_file:
+            argv += ["--output", str(tmp_path / "s.csv")]
+
+        def outputs():
+            code, out, err = run(capsys, *argv)
+            assert code == 0
+            if to_file:
+                return (tmp_path / "s.csv").read_text(), (tmp_path / "s.summary.json").read_text()
+            return out, err
+
+        want = outputs()
+        written, summaries = [], []
+        write, summarize = cli.write_records_csv, cli.summarize
+
+        def write_through_a_buffer(config, records, stream):
+            buffer = io.StringIO()
+            write(config, records, buffer)
+            written.append(buffer.getvalue())
+            stream.write(written[-1])
+
+        def counted_summarize(config, records):
+            summaries.append(config)
+            return summarize(config, records)
+
+        monkeypatch.setattr(cli, "write_records_csv", write_through_a_buffer)
+        monkeypatch.setattr(cli, "summarize", counted_summarize)
+        assert outputs() == want
+        assert written == [want[0]]
+        assert len(summaries) == 1
 
     def test_memory_per_record_is_small(self, capsys, tmp_path):
         """Rows are written as they are made and a record leaves behind only
