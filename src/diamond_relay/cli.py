@@ -3,7 +3,8 @@
 Machine-readable output (JSON or flat CSV) goes to stdout or --output;
 everything human-oriented goes to stderr. Exit codes: 0 on success (and on
 a certified instance), 1 when certify ran fine but the instance is not
-certified, 2 on any input problem, 141 when stdout closes early (SIGPIPE).
+certified, 2 on any input problem, 70 on a defect in the package
+(InvariantError, with its traceback), 141 when stdout closes early (SIGPIPE).
 
 sweep writes each CSV row as experiments.iter_records yields its record
 (that docstring gives how records are spread over processes) and keeps, per
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -34,7 +34,7 @@ from .channel_model import (
     induced_capacities,
 )
 from .cutset_lp import solve_bound
-from .errors import DiamondRelayError, DomainError
+from .errors import DiamondRelayError, DomainError, InvariantError
 from .experiments import (
     Conditioning,
     ExponentialUnitMean,
@@ -52,6 +52,7 @@ from .sr_rate import sr_rate_min_form
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_DEFECT = 70  # sysexits' EX_SOFTWARE
 EXIT_BROKEN_PIPE = 141
 
 _SPEC_FIELDS = frozenset(field.name for field in fields(ChannelSpec))
@@ -64,18 +65,16 @@ _CONDITIONING_BY_FLAG = {mode.value.replace("_", "-"): mode for mode in Conditio
 
 def _load_input(raw: str) -> dict[str, object]:
     """--input accepts a file path, inline JSON, or - for stdin."""
-    if raw == "-":
-        text = sys.stdin.read()
-    elif raw.lstrip()[:1] in ("{", "["):
+    if raw.lstrip()[:1] in ("{", "["):  # "-" (stdin) falls through to the read
         text = raw
     else:
         try:
-            text = Path(raw).read_text()
-        except OSError as exc:
+            text = sys.stdin.read() if raw == "-" else Path(raw).read_text()
+        except (OSError, ValueError) as exc:  # ValueError: bytes that do not decode
             raise DomainError(f"cannot read input file {raw}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep a nesting
         raise DomainError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"input must be a JSON object, got {type(data).__name__}")
@@ -131,10 +130,9 @@ def _write_payload(payload: dict[str, object], args: argparse.Namespace) -> None
             json.dump(payload, stream, indent=2)
             stream.write("\n")
         else:
-            flat = _flatten(payload)
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(flat.keys())
-            writer.writerow([_csv_cell(v) for v in flat.values()])
+            flat = _flatten(payload)  # no cell holds a comma, quote or newline
+            stream.write(",".join(flat) + "\n")
+            stream.write(",".join(_csv_cell(v) for v in flat.values()) + "\n")
 
 
 def _analyze(caps: LinkCapacities) -> tuple[dict[str, object], int]:
@@ -280,6 +278,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DiamondRelayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InvariantError:  # a defect in this package: neither a verdict nor bad input
+        import traceback  # imported here: only a defect needs it
+
+        traceback.print_exc()
+        return EXIT_DEFECT
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ DiamondRelayError and its subclasses mean bad input: a value outside an
 operation's domain or an instance that breaks a result's hypothesis. The CLI
 reports them and exits with 2. InvariantError and its subclass
 NegativeGapError mean a defect in the package itself; they are not value
-errors, so they surface as a traceback.
+errors, so they surface as a traceback, and the CLI exits with 70
+(EX_SOFTWARE).
 """
 
 __all__ = [

@@ -340,15 +340,14 @@ def iter_records(config: SweepConfig) -> Iterator[SweepRecord]:
             finally:  # in this process only, whether or not the fork failed
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write_fd)
+        own = (_block(config, start) for start in blocks[::width])  # this process's blocks
         ahead = None  # this process's next block, once evaluated
         for k, start in enumerate(blocks):
             if k % width == 0:
-                records, error = ahead or _block(config, start)
+                records, error = ahead or next(own)
                 ahead = None
             else:
-                mine = k - k % width + width
-                if ahead is None and mine < len(blocks):
-                    ahead = _block(config, blocks[mine])
+                ahead = ahead or next(own, None)
                 try:
                     records, error = pickle.load(pipes[k % width - 1])
                 except (EOFError, pickle.UnpicklingError):  # cut off: the worker died or was killed

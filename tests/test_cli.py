@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from diamond_relay import DomainError, cli, experiments
+from diamond_relay import DomainError, InvariantError, NegativeGapError, cli, experiments
 from diamond_relay.cli import main
 
 CAPS_2332 = json.dumps({"c01": 2, "c02": 3, "c13": 3, "c23": 2})
@@ -179,6 +179,50 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    # exit 1 from certify is a verdict, so input that cannot be read must not end in it
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "certify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input is not valid JSON:") and err.count("\n") == 1
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"c01": ' + "7" * 5000 + ', "c02": 1, "c13": 1, "c23": 1}')
+        code, out, err = run(capsys, "certify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_bytes_that_do_not_decode(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "certify", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestDefect:
+    @pytest.mark.parametrize(
+        "command, name, error",
+        [("certify", "certify_capacities", NegativeGapError),
+         ("bound", "solve_bound", InvariantError)],
+    )
+    def test_exits_70_with_a_traceback(self, capsys, monkeypatch, command, name, error):
+        # a crash must not read as "not certified" (1) nor as bad input (2)
+        def broken(caps):
+            raise error("broken on purpose")
+
+        monkeypatch.setattr(cli, name, broken)
+        code, out, err = run(capsys, command, "--input", CAPS_2332)
+        assert code == cli.EXIT_DEFECT == 70
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith(f"{error.__name__}: broken on purpose\n")
 
 
 class TestSweep:
@@ -356,6 +400,15 @@ class TestSweep:
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    def test_cli_import_does_not_load_csv(self):
+        # the package writes CSV with str.join; a second writer would show up here
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, diamond_relay.cli; print('csv' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
