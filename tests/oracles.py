@@ -6,7 +6,9 @@ as a brute-force search over the phase split, and the scheduling bound as a
 grid search over the time-sharing simplex. Slow and obvious on purpose.
 
 exact_bound solves the same LP in rational arithmetic: the reference for
-how far solve_bound's float answer is from the true optimum.
+how far solve_bound's float answer is from the true optimum. kernel_bound
+finds the same optimum by a scan of square kernels of the cut matrix with
+integer sign tests, in about a millisecond; Tier-1 holds it to exact_bound.
 
 reference_select is the selection as it stood before its fixed costs were
 cut; selection_check holds the package's _select to it, bit for bit.
@@ -192,6 +194,75 @@ def _solve_exact(rows) -> list[Fraction] | None:
                 f = a[r][col] / a[col][col]
                 a[r] = [u - f * v for u, v in zip(a[r], a[col])]
     return [a[r][n] / a[r][r] for r in range(n)]
+
+
+# -- the exact kernel scan ----------------------------------------------------
+
+# every square kernel (cuts C, states S), larger ones first
+_KERNELS = [(c, s) for k in (4, 3, 2, 1) for c in itertools.combinations(range(4), k)
+            for s in itertools.combinations(range(4), k)]
+
+
+def _minor(b, i: int, j: int) -> list[list[int]]:
+    """b without row i and column j."""
+    return [row[:j] + row[j + 1:] for k, row in enumerate(b) if k != i]
+
+
+def _det(b) -> int:
+    """Determinant by Laplace expansion along the first row; exact on ints."""
+    if len(b) == 1:
+        return b[0][0]
+    return sum((-1) ** j * b[0][j] * _det(_minor(b, 0, j)) for j in range(len(b)) if b[0][j])
+
+
+def _adjugate(b) -> list[list[int]]:
+    """adj(b), so that b @ adj(b) = det(b) I; adj of a 1x1 matrix is [[1]]."""
+    n = len(b)
+    if n == 1:
+        return [[1]]
+    return [[(-1) ** (i + j) * _det(_minor(b, j, i)) for j in range(n)] for i in range(n)]
+
+
+def kernel_bound(caps: LinkCapacities) -> tuple[Fraction, tuple[tuple[int, ...], ...]]:
+    """The LP optimum of the float instance exactly, with the kernel that certifies it.
+
+    The cut matrix M (rows cuts, columns states) is a matrix game whose value
+    is the bound. By Shapley and Snow (1950, Basic solutions of discrete
+    games) some square kernel B = M[C, S] gives an optimal pair: schedule
+    t_S = adj(B) 1 / 1'adj(B)1, cut weights y_C = 1'adj(B) / 1'adj(B)1 and
+    value v = det(B) / 1'adj(B)1. t and y each sum to 1, so once t >= 0,
+    every cut at t is >= v, y >= 0 and every state's weighted cut y'M is
+    <= v, t proves the bound >= v and y proves it <= v. The scan returns the
+    first kernel that passes those sign tests.
+
+    The six capacities are floats, so all are integers over their largest
+    denominator D, a power of two, and the tests run on the integer matrix
+    D M. For a k x k kernel that scales the adjugate's sums by D^(k-1) and
+    the determinant by D^k, so each test compares like with like, and
+    v = det / (D 1'adj 1). Nothing is rounded. Value 0 comes from a 1 x 1
+    kernel on a zero cut. Fails only if no kernel certifies, which the
+    theorem rules out.
+    """
+    values = [Fraction(v) for v in caps.to_dict().values()]
+    scale = max(v.denominator for v in values)
+    c01, c02, c13, c23, c012, c123 = (int(v * scale) for v in values)
+    rows = ((c012, c02, c01, 0), (c02, c02 + c13, 0, c13),
+            (c01, 0, c01 + c23, c23), (0, c13, c23, c123))
+    for cuts, states in _KERNELS:
+        b = [[rows[i][j] for j in states] for i in cuts]
+        adj = _adjugate(b)
+        t = dict(zip(states, map(sum, adj)))  # the schedule, times total
+        y = dict(zip(cuts, map(sum, zip(*adj))))  # the cut weights, times total
+        total, det = sum(t.values()), sum(p * q for p, q in zip(b[0], (r[0] for r in adj)))
+        if total < 0:  # flip signs so that total > 0: every ratio stays
+            t, y = {j: -u for j, u in t.items()}, {i: -w for i, w in y.items()}
+            total, det = -total, -det
+        if total == 0 or min(t.values()) < 0 or min(y.values()) < 0:
+            continue
+        if all(sum(row[j] * u for j, u in t.items()) >= det for row in rows) and all(
+                sum(rows[i][j] * w for i, w in y.items()) <= det for j in range(4)):
+            return Fraction(det, total * scale), (cuts, states)
+    raise AssertionError(f"no kernel certifies {caps}")
 
 
 # -- the selection as it was written before its fixed costs were cut ---------

@@ -32,6 +32,7 @@ from oracles import (
     exact_bound,
     grid_oracle_bound,
     grid_oracle_bound_naive,
+    kernel_bound,
     locate_check,
     min_cut,
     selection_check,
@@ -556,6 +557,37 @@ class TestAgainstExactBound:
         # vertex's rate rounds above its least cut by more than the 1e-9 slack
         caps = LinkCapacities(*(scale * c for c in (2.0, 3.0, 3.0, 2.0, 3.5, 3.5)))
         assert solve_bound(caps).bound == pytest.approx(2.4 * scale, rel=1e-12)
+
+
+class TestKernelBound:
+    """The exact kernel scan of tests/oracles.py against the exact vertex
+    enumeration, on seeded corpora from far below to far above scale 1."""
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-9, 1.0, 2.0**1000],
+                             ids=["2^-1000", "1e-9", "1", "2^1000"])
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_equals_exact_bound(self, family, scale):
+        for caps in differential_corpus(family, 5, scale=scale):
+            assert kernel_bound(caps)[0] == exact_bound(caps), caps
+
+    @pytest.mark.parametrize("family", DIFFERENTIAL_FAMILIES)
+    def test_is_homogeneous_under_power_of_two_scaling(self, family):
+        corpus = differential_corpus(family, 5)
+        for k in (-1000, -30, 30, 1000):
+            for caps, scaled in zip(corpus, differential_corpus(family, 5, scale=2.0**k)):
+                # every capacity scaled exactly: none became subnormal
+                assert all(Fraction(getattr(scaled, name)) == Fraction(getattr(caps, name)) * 2**k
+                           for name in CAPACITY_FIELDS)
+                assert kernel_bound(scaled)[0] == kernel_bound(caps)[0] * Fraction(2)**k
+
+    def test_certifying_kernel_of_the_paper_instance(self):
+        # the paper's instance: all four cuts tie at 12/5 on the full kernel
+        caps = induced_capacities(2.0, 3.0, 3.0, 2.0)
+        assert kernel_bound(caps) == (Fraction(12, 5), ((0, 1, 2, 3), (0, 1, 2, 3)))
+
+    def test_zero_value_comes_from_a_zero_cut(self):
+        assert kernel_bound(induced_capacities(0.0, 0.0, 0.0, 0.0)) == (0, ((0,), (0,)))
+        assert kernel_bound(induced_capacities(0.0, 0.0, 1.0, 2.0))[0] == 0
 
 
 class TestExactSymmetries:
