@@ -99,18 +99,17 @@ def _flatten(payload: dict[str, object], prefix: str = "") -> dict[str, object]:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{name}."))
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value, start=1):
-                flat[f"{name}.{i}"] = item
         else:
             flat[name] = value
     return flat
 
 
 def _csv_cell(value: object) -> str:
-    """One CSV cell: floats with 17 significant digits, lower-case booleans, None empty."""
+    """One CSV cell: 17-digit floats, lower-case booleans, None empty, lists ';'-joined."""
     if value is None:
         return ""
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(_csv_cell, value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -19,6 +19,7 @@ import pytest
 
 from diamond_relay import DomainError, InvariantError, NegativeGapError, cli, experiments
 from diamond_relay.cli import main
+from test_golden import INPUTS as GOLDEN_INPUTS
 
 CAPS_2332 = json.dumps({"c01": 2, "c02": 3, "c13": 3, "c23": 2})
 GAINS_SNR3 = json.dumps(
@@ -126,6 +127,27 @@ class TestCertify:
             code, out, _ = run(capsys, "certify", "--input", scaled)
             assert code == 1
             assert json.loads(out)["lemma_case"] == "none"
+
+
+# four binding cuts and a t*; three binding cuts and no t*; a dead link; a gain spec
+CSV_INSTANCES = [
+    {"c01": 2, "c02": 3, "c13": 3, "c23": 2},
+    {"c01": 1, "c02": 3, "c13": 2, "c23": 2},
+    GOLDEN_INPUTS["dead_link_override"],
+    GOLDEN_INPUTS["gain_spec"],
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound", "certify"])
+def test_csv_header_is_fixed_per_command(capsys, command):
+    """Rows from any two instances stack into one table under one header."""
+    headers = set()
+    for inst in CSV_INSTANCES:
+        _, out, _ = run(capsys, command, "--input", json.dumps(inst), "--format", "csv")
+        header, row = out.splitlines()
+        assert len(row.split(",")) == len(header.split(",")), out
+        headers.add(header)
+    assert len(headers) == 1, headers
 
 
 class TestInputErrors:
