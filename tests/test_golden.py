@@ -46,19 +46,19 @@ OUTPUTS = {
     ("caps_2332", "analyze", "json"): (0, "a8fb527b5141444c591f3a931a235f984c1771d4a84d16ffac8bfb40c5648ad0"),
     ("caps_2332", "analyze", "csv"): (0, "7675a8dd0cf05488d2e369616575e5cd47d75508d421eeffc25cd170c3a14a65"),
     ("caps_2332", "bound", "json"): (0, "77fd5f4b1b720cddeec0eea5ccc7779c5730a418e3c79ef7fd62977175159c8f"),
-    ("caps_2332", "bound", "csv"): (0, "8ac0c8f83393d4cf4bd48fd7ce7fb9f727f59f7f954df366115b47b8c556c22c"),
+    ("caps_2332", "bound", "csv"): (0, "a1b92fe4d41bac6db4f54b4a27b42a8914fdfd986f99d580b1b2d166974e75a0"),
     ("caps_2332", "certify", "json"): (0, "28009ed7dfb923b3b5a3468f35c29348baa48ea36b173198d9c6a85b30ddc53c"),
-    ("caps_2332", "certify", "csv"): (0, "617b8e1173ac0b9399c51864e95cfa6d05f97f61dd524b7049ef20206b0baed6"),
+    ("caps_2332", "certify", "csv"): (0, "e3cd0252b4fdd898255bc6d17bc9b380f69b01545cf12575a15853af0a6f275d"),
     ("dead_link_override", "analyze", "json"): (0, "4c8477efe2dfe4487265278467120317c429d6a11e9f233b2a4f4be467d14509"),
     ("dead_link_override", "analyze", "csv"): (0, "c58fb95a143f6e97fede376421101fe8d5013657fe05f0ae60943580f94d59f0"),
     ("dead_link_override", "bound", "json"): (0, "e4ddaf2f81b090218337e3e9455810781a0dae0809a57270005d060dc04145ff"),
-    ("dead_link_override", "bound", "csv"): (0, "13d244d2564bc776cee4a2831673295281eadc53501c9df052345351dcef7d5f"),
+    ("dead_link_override", "bound", "csv"): (0, "27a234a9a3bcc07473642497daa9895b322537fa51841a5140d2faf71c82f9ae"),
     ("dead_link_override", "certify", "json"): (1, "066db732685617267dfd04a6060c83538a300638e595819834f1bc9e9f0c12b2"),
     ("dead_link_override", "certify", "csv"): (1, "6495ebdef9afd463f9e2da016701b61bdb8dd9fd0333046c6f2fb1c0ddcfb75a"),
     ("gain_spec", "analyze", "json"): (0, "6089fd00eefd67b45916cbe9f1c49138159ac37902f08266b9661a42363754ea"),
     ("gain_spec", "analyze", "csv"): (0, "3f4c757caff14c9443553751c959012d238dfa221651ea3d9291ab29fef92a8b"),
     ("gain_spec", "bound", "json"): (0, "4c4f3ce8596a996f812dfc3aeab3144b35ce841a62c0a07d265fb033297e06c7"),
-    ("gain_spec", "bound", "csv"): (0, "8268f6dc10c5223faa512c3d59bf574995f2eac1af8f1d91f1a7524d4f2f4912"),
+    ("gain_spec", "bound", "csv"): (0, "742d6fdbf451509fe79579c90fc6b4bf24cc4627a5d5b0c7068ba4a415c8d770"),
     ("gain_spec", "certify", "json"): (1, "74db35ef6571ab884b8065706e2090b74cca3f58c3f5a87ed6116c319af89d4c"),
     ("gain_spec", "certify", "csv"): (1, "1a92e3a999d27a09aa008f2929b3842f876854ecffc26330fd0fc418c9919cd1"),
 }
