@@ -251,12 +251,12 @@ def kernel_bound(caps: LinkCapacities) -> tuple[Fraction, tuple[tuple[int, ...],
     for cuts, states in _KERNELS:
         b = [[rows[i][j] for j in states] for i in cuts]
         adj = _adjugate(b)
+        det = sum(p * row[0] for p, row in zip(b[0], adj))
+        if sum(map(sum, adj)) < 0:  # negate both, so that total > 0: every ratio stays
+            adj, det = [[-u for u in row] for row in adj], -det
         t = dict(zip(states, map(sum, adj)))  # the schedule, times total
         y = dict(zip(cuts, map(sum, zip(*adj))))  # the cut weights, times total
-        total, det = sum(t.values()), sum(p * q for p, q in zip(b[0], (r[0] for r in adj)))
-        if total < 0:  # flip signs so that total > 0: every ratio stays
-            t, y = {j: -u for j, u in t.items()}, {i: -w for i, w in y.items()}
-            total, det = -total, -det
+        total = sum(t.values())
         if total == 0 or min(t.values()) < 0 or min(y.values()) < 0:
             continue
         if all(sum(row[j] * u for j, u in t.items()) >= det for row in rows) and all(

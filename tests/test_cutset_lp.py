@@ -580,10 +580,22 @@ class TestKernelBound:
                            for name in CAPACITY_FIELDS)
                 assert kernel_bound(scaled)[0] == kernel_bound(caps)[0] * Fraction(2)**k
 
-    def test_certifying_kernel_of_the_paper_instance(self):
-        # the paper's instance: all four cuts tie at 12/5 on the full kernel
-        caps = induced_capacities(2.0, 3.0, 3.0, 2.0)
-        assert kernel_bound(caps) == (Fraction(12, 5), ((0, 1, 2, 3), (0, 1, 2, 3)))
+    @pytest.mark.parametrize(
+        "caps, value, kernel",
+        [
+            # the paper's instance: all four cuts tie on the full kernel
+            (induced_capacities(2.0, 3.0, 3.0, 2.0), Fraction(12, 5),
+             ((0, 1, 2, 3), (0, 1, 2, 3))),
+            # the earlier kernel ((0, 1, 3), (0, 2, 3)) passes the t, cut and y
+            # tests at v = 4/5, but its y puts state t2's weighted cut above v
+            (LinkCapacities(1.0, 2.0, 1.0, 1.0, 2.0, 1.0), Fraction(1),
+             ((0, 1, 3), (1, 2, 3))),
+        ],
+        ids=["paper_2332", "state_slack_decides"],
+    )
+    def test_certifying_kernel(self, caps, value, kernel):
+        assert exact_bound(caps) == value
+        assert kernel_bound(caps) == (value, kernel)
 
     def test_zero_value_comes_from_a_zero_cut(self):
         assert kernel_bound(induced_capacities(0.0, 0.0, 0.0, 0.0)) == (0, ((0,), (0,)))
