@@ -33,8 +33,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Cut capacities must dominate their strongest link; allow a hair of slack so
-# values computed through different floating-point routes still validate.
+# Cut capacities must dominate their strongest link; allow a hair of slack, 1e-9 relative
+# but never under a few ulps (a subnormal link's ulp is more than 1e-9 of it), so values
+# computed through different floating-point routes still validate.
 _CUT_CAP_SLACK = 1e-9
 
 
@@ -187,7 +188,7 @@ class LinkCapacities:
         for cut, a, b, side in (("c012", "c01", "c02", "source"), ("c123", "c13", "c23", "relay")):
             value = getattr(self, cut)
             strongest = max(getattr(self, a), getattr(self, b))
-            if value < strongest - _CUT_CAP_SLACK * max(1.0, strongest):
+            if value < strongest - max(_CUT_CAP_SLACK * strongest, 4 * math.ulp(strongest)):
                 raise DomainError(
                     f"{cut} = {value} is below max({a}, {b}) = {strongest}; "
                     f"the joint {side} cut cannot be weaker than its strongest link"

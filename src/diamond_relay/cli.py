@@ -24,7 +24,7 @@ import sys
 from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .channel_model import (
     ChannelSpec,
@@ -117,9 +117,10 @@ def _csv_cell(value: object) -> str:
     return str(value)
 
 
-def _open_output(path: str | None):
+def _open_output(path: str | Path | None, standard: TextIO | None = None):
+    """path opened for writing or, when path is None, standard (default stdout) left open."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(standard or sys.stdout)
     return open(path, "w", newline="")
 
 
@@ -194,25 +195,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             kept.append(_Kept(record.gap, record.bound, record.certified, record.lemma_case))
             yield record
 
-    if args.output is None:
-        # closed on every way out, so a failed write stops the sweep's workers at once
-        with contextlib.closing(sweep):
-            write_records_csv(config, records(), sys.stdout)
-        write_summary_json(summarize(config, kept), sys.stderr)
-        return EXIT_OK
-    csv_path = Path(args.output)
+    # without --output, the CSV goes to stdout and the summary to stderr
+    csv_path = None if args.output is None else Path(args.output)
     # opened outside the try: a file this sweep could not open is not its to remove
-    stream = open(csv_path, "w", newline="")
-    summary_path = csv_path.with_suffix(".summary.json")
+    output = _open_output(csv_path)
+    summary_path = csv_path and csv_path.with_suffix(".summary.json")
     try:
-        with stream, contextlib.closing(sweep):
+        # the sweep is closed on every way out, so a failed write stops its workers at once
+        with output as stream, contextlib.closing(sweep):
             write_records_csv(config, records(), stream)
-        with open(summary_path, "w") as summary:
+        with _open_output(summary_path, sys.stderr) as summary:
             write_summary_json(summarize(config, kept), summary)
     except BaseException:
         # an earlier run's summary would describe a CSV that is gone
         for path in (csv_path, summary_path):
-            if path.is_file():  # a FIFO or device named at --output is not the sweep's
+            if path is not None and path.is_file():  # not a FIFO or device named at --output
                 path.unlink(missing_ok=True)
         raise
     return EXIT_OK

@@ -12,7 +12,6 @@ be improved, and assembles everything into a certification report.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .channel_model import (
@@ -31,7 +30,7 @@ from .errors import (
     InvariantError,
     NegativeGapError,
 )
-from .sr_rate import normalized_form, sr_rate_min_form
+from .sr_rate import _link_ratios, normalized_form, sr_rate_min_form
 
 __all__ = [
     "LemmaCase",
@@ -46,10 +45,8 @@ __all__ = [
     "certify_capacities",
 ]
 
-_PRODUCT_TOL = 1e-9  # condition instances are constructed exactly; this absorbs rounding
 _CERT_GAP_REL_TOL = 1e-8
 _EQUAL_CUTS_REL_TOL = 1e-9
-_NORMAL = 2.0**-1022  # the smallest normal float
 
 
 class LemmaCase(enum.Enum):
@@ -108,25 +105,16 @@ class PerturbationSpec:
             )
 
 
-def _products(caps: LinkCapacities) -> tuple[float, float]:
-    """c01*c02 and c13*c23, both times one power of two where either is not normal.
-
-    That power keeps the larger product in [1/4, 1), so neither underflows
-    to 0 nor overflows where the other does not: ordering and relative
-    agreement are those of the exact products of the links.
-    """
-    p_source, p_relay = caps.c01 * caps.c02, caps.c13 * caps.c23
-    if not (_NORMAL <= p_source < math.inf and _NORMAL <= p_relay < math.inf):
-        (a, i), (b, j), (c, k), (d, l) = map(math.frexp, (caps.c01, caps.c02, caps.c13, caps.c23))
-        m_source, m_relay = a * b, c * d  # in [1/4, 1), or 0 where a link is 0
-        shift = max(i + j if m_source else k + l, k + l if m_relay else i + j)
-        p_source, p_relay = math.ldexp(m_source, i + j - shift), math.ldexp(m_relay, k + l - shift)
-    return p_source, p_relay
+def _products(caps: LinkCapacities) -> tuple[int, int]:
+    """c01*c02 and c13*c23 exactly, as two ints over one common denominator."""
+    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
+    return n01 * n02 * d13 * d23, n13 * n23 * d01 * d02
 
 
-def _agree(x: float, y: float) -> bool:
-    """True when x and y agree within 1e-9 relative."""
-    return abs(x - y) <= _PRODUCT_TOL * max(x, y)
+def _agree(x: float | int, y: float | int) -> bool:
+    """True when x and y agree within 1e-9 relative; an int is never made a float."""
+    # condition instances are constructed exactly; the tolerance absorbs rounding
+    return abs(x - y) * 10**9 <= max(x, y)
 
 
 def product_condition_holds(caps: LinkCapacities) -> bool:
@@ -172,8 +160,8 @@ def classify(caps: LinkCapacities) -> LemmaCase:
 def predicted_rate(caps: LinkCapacities, lemma_case: LemmaCase) -> float:
     """The common branch rate under the given equal-branch condition.
 
-    Matching products: c01*(c13 + c02)/(c13 + c01). Matching source sides:
-    c02. Matching relay sides: c13.
+    Matching products: c01*(c13 + c02)/(c13 + c01), evaluated exactly and
+    rounded once. Matching source sides: c02. Matching relay sides: c13.
 
     Raises:
         DomainError: if lemma_case is not a LemmaCase.
@@ -184,7 +172,8 @@ def predicted_rate(caps: LinkCapacities, lemma_case: LemmaCase) -> float:
     if lemma_case is LemmaCase.NONE:
         raise ConditionError("no equal-branch condition holds; there is no predicted rate")
     if lemma_case is LemmaCase.PRODUCT_EQUAL:
-        return caps.c01 * (caps.c13 + caps.c02) / (caps.c13 + caps.c01)
+        (n01, d01), (n02, d02), (n13, d13), _ = _link_ratios(caps)
+        return n01 * (n13 * d02 + n02 * d13) / (d02 * (n13 * d01 + n01 * d13))
     if lemma_case is LemmaCase.SOURCE_SIDES_EQUAL:
         return caps.c02
     return caps.c13

@@ -105,26 +105,34 @@ def sr_rate_min_form(caps: LinkCapacities) -> SrRateResult:
     )
 
 
+def _link_ratios(caps: LinkCapacities) -> tuple[tuple[int, int], ...]:
+    """(n, d) for c01, c02, c13 and c23, each capacity exactly n/d: a formula in these
+    ints is exact at every scale, and Python rounds an int/int division correctly."""
+    return (caps.c01.as_integer_ratio(), caps.c02.as_integer_ratio(),
+            caps.c13.as_integer_ratio(), caps.c23.as_integer_ratio())
+
+
 def sr_rate_closed_form(caps: LinkCapacities) -> tuple[float, float]:
     """Branch rates with the balancing fractions substituted through.
 
     r1 = (c01*c13 + min(c13*c23, c01*c02)) / (c13 + c01)
     r2 = (c02*c23 + min(c13*c23, c01*c02)) / (c23 + c02)
 
+    Each is evaluated exactly and rounded once: correctly rounded at every scale.
+
     Raises:
         DegenerateDenominatorError: when c13 + c01 = 0 or c23 + c02 = 0; the
             substituted algebra genuinely divides by zero there, unlike the
             min form which stays meaningful.
     """
-    d1 = caps.c13 + caps.c01
-    d2 = caps.c23 + caps.c02
-    if d1 <= 0.0:
+    if caps.c13 + caps.c01 <= 0.0:
         raise DegenerateDenominatorError("c13 + c01 = 0: branch-1 closed form divides by zero")
-    if d2 <= 0.0:
+    if caps.c23 + caps.c02 <= 0.0:
         raise DegenerateDenominatorError("c23 + c02 = 0: branch-2 closed form divides by zero")
-    cross = min(caps.c13 * caps.c23, caps.c01 * caps.c02)
-    r1 = (caps.c01 * caps.c13 + cross) / d1
-    r2 = (caps.c02 * caps.c23 + cross) / d2
+    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
+    cross = min(n13 * n23 * d01 * d02, n01 * n02 * d13 * d23)  # over d01*d02*d13*d23
+    r1 = (n01 * n13 * d02 * d23 + cross) / (d02 * d23 * (n13 * d01 + n01 * d13))
+    r2 = (n02 * n23 * d01 * d13 + cross) / (d01 * d13 * (n23 * d02 + n02 * d23))
     return r1, r2
 
 

@@ -528,6 +528,11 @@ def reversal(caps: LinkCapacities) -> LinkCapacities:
     return LinkCapacities(caps.c13, caps.c23, caps.c01, caps.c02, caps.c123, caps.c012)
 
 
+def times_power_of_two(caps: LinkCapacities, k: int) -> LinkCapacities:
+    """Every capacity times 2^k: exact while each stays a normal float."""
+    return LinkCapacities(*(math.ldexp(v, k) for v in caps.to_dict().values()))
+
+
 # maps under which the LP's value is exactly the same
 SYMMETRIES = {
     "relay_swap": relay_swap,

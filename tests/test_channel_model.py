@@ -224,6 +224,23 @@ class TestLinkCapacitiesValidation:
         with pytest.raises(DomainError, match="c13"):
             LinkCapacities(c01=1.0, c02=1.0, c13=float("nan"), c23=1.0, c012=2.0, c123=2.0)
 
+    def test_cut_slack_is_relative_below_scale_one(self):
+        # (1, 1, 1, 1, 0.5, 0.5) is refused, and so is each power-of-two scaling of
+        # zero cuts under links of 1e-12, which certify once called certified
+        for k in range(-1000, 1001):
+            c = math.ldexp(1e-12, k)
+            with pytest.raises(DomainError, match="c012 = 0.0 is below"):
+                LinkCapacities(c01=c, c02=c, c13=c, c23=c, c012=0.0, c123=0.0)
+
+    def test_induced_cuts_validate_at_every_binade(self):
+        # a subnormal induced cut can come out an ulp or two below its link, more
+        # than 1e-9 relative there, so the slack never falls below a few ulps;
+        # two links of 2^10 bits have no joint SNR in double precision
+        for k in range(-1074, 10):
+            for f in (0.0, 0.5, 1.0):
+                for x in (math.ldexp(1.0, k), math.ldexp(1.5, k)):
+                    induced_capacities(x, x * f, x, x * f)
+
     def test_frozen(self):
         caps = induced_capacities(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(AttributeError):

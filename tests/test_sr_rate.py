@@ -1,5 +1,8 @@
 """Alternating-schedule rate: worked values, forms agree, oracle agreement."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,10 +15,12 @@ from diamond_relay import (
     sr_rate_min_form,
     time_fractions,
 )
-from oracles import best_phase_split_rate
+from oracles import best_phase_split_rate, times_power_of_two
 
 cap = st.floats(min_value=1e-3, max_value=30.0, allow_nan=False)
 cap_or_zero = st.one_of(st.just(0.0), cap)
+# every capacity and rate of an instance of cap links stays a normal float times 2^k
+wide_k = st.integers(min_value=-1000, max_value=1000)
 
 
 def caps_of(c01, c02, c13, c23):
@@ -77,6 +82,21 @@ class TestFormsAgree:
         res = sr_rate_min_form(caps)
         assert r1c == pytest.approx(res.r1, rel=1e-12, abs=1e-12)
         assert r2c == pytest.approx(res.r2, rel=1e-12, abs=1e-12)
+
+    @given(c01=cap, c02=cap, c13=cap, c23=cap, k=wide_k)
+    def test_closed_form_is_the_exact_form_rounded_once(self, c01, c02, c13, c23, k):
+        caps = times_power_of_two(caps_of(c01, c02, c13, c23), k)
+        a, b, c, d = map(Fraction, (caps.c01, caps.c02, caps.c13, caps.c23))
+        cross = min(c * d, a * b)
+        exact = ((a * c + cross) / (c + a), (b * d + cross) / (d + b))
+        assert sr_rate_closed_form(caps) == tuple(map(float, exact))
+
+    @given(c01=cap, c02=cap, c13=cap, c23=cap, k=wide_k)
+    def test_closed_form_is_homogeneous_under_power_of_two_scaling(self, c01, c02, c13, c23, k):
+        caps = caps_of(c01, c02, c13, c23)
+        r1, r2 = sr_rate_closed_form(caps)
+        scaled = sr_rate_closed_form(times_power_of_two(caps, k))
+        assert scaled == (math.ldexp(r1, k), math.ldexp(r2, k))
 
     def test_closed_form_rejects_degenerate_branch(self):
         with pytest.raises(DegenerateDenominatorError, match=r"c13 \+ c01"):
