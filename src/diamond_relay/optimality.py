@@ -30,7 +30,7 @@ from .errors import (
     InvariantError,
     NegativeGapError,
 )
-from .sr_rate import _link_ratios, normalized_form, sr_rate_min_form
+from .sr_rate import _link_ratios, _products, normalized_form, sr_rate_min_form
 
 __all__ = [
     "LemmaCase",
@@ -63,8 +63,9 @@ class OptimalityReport:
     """Certification summary for one instance.
 
     capacity_certified is true exactly when the product condition holds and
-    the measured gap is within 1e-8 relative of zero; predicted_rate and
-    t_star are present only when a case applies / the product condition holds.
+    the measured gap is at most 1e-8 * max(1, bound): relative to the bound
+    above a bound of 1, absolute below it; predicted_rate and t_star are
+    present only when a case applies / the product condition holds.
     """
 
     lemma_case: LemmaCase
@@ -103,12 +104,6 @@ class PerturbationSpec:
                 "gamma + delta must equal epsilon + eta (time conservation); "
                 f"off by {imbalance}"
             )
-
-
-def _products(caps: LinkCapacities) -> tuple[int, int]:
-    """c01*c02 and c13*c23 exactly, as two ints over one common denominator."""
-    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
-    return n01 * n02 * d13 * d23, n13 * n23 * d01 * d02
 
 
 def _agree(x: float | int, y: float | int) -> bool:
@@ -164,9 +159,11 @@ def predicted_rate(caps: LinkCapacities, lemma_case: LemmaCase) -> float:
     rounded once. Matching source sides: c02. Matching relay sides: c13.
 
     Raises:
+        HypothesisError: if any link capacity is 0.
         DomainError: if lemma_case is not a LemmaCase.
         ConditionError: for the no-condition case.
     """
+    _require_positive_links(caps)
     if not isinstance(lemma_case, LemmaCase):
         raise DomainError(f"lemma_case must be a LemmaCase, got {lemma_case!r}")
     if lemma_case is LemmaCase.NONE:
@@ -182,22 +179,23 @@ def predicted_rate(caps: LinkCapacities, lemma_case: LemmaCase) -> float:
 def t_star(caps: LinkCapacities) -> tuple[float, float, float, float]:
     """The schedule that equalizes all four cuts under the product condition.
 
-    Returns (0, c01/(c13 + c01), c02/(c02 + c23), 0). The product condition
-    makes the two middle entries sum to 1, and every cut then evaluates to
-    the predicted rate: the cut-capacity terms c012 and c123 never enter
-    because no time is spent in the states that use them.
+    Returns (0, c01/(c13 + c01), c02/(c02 + c23), 0), each entry evaluated
+    exactly and rounded once, so correctly rounded at every scale. The product
+    condition makes the two middle entries sum to 1, and every cut then
+    evaluates to the predicted rate: the cut-capacity terms c012 and c123
+    never enter because no time is spent in the states that use them.
 
     Raises:
         HypothesisError: if any link capacity is 0.
-        ConditionError: if the product condition fails.
+        ConditionError: if the product condition fails; the message gives the
+            exact relative mismatch |p - q| / max(p, q) of the two products.
     """
     _require_positive_links(caps)
-    if not product_condition_holds(caps):
-        raise ConditionError(
-            f"capacity products differ: c01*c02 = {caps.c01 * caps.c02} "
-            f"vs c13*c23 = {caps.c13 * caps.c23}"
-        )
-    return (0.0, caps.c01 / (caps.c13 + caps.c01), caps.c02 / (caps.c02 + caps.c23), 0.0)
+    p, q = _products(caps)
+    if not _agree(p, q):
+        raise ConditionError(f"c01*c02 and c13*c23 differ by {abs(p - q) / max(p, q)} relative")
+    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
+    return (0.0, n01 * d13 / (n13 * d01 + n01 * d13), n02 * d23 / (n02 * d23 + n23 * d02), 0.0)
 
 
 def perturbation_check(
@@ -261,9 +259,10 @@ def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
 
     Computes the achievable rate and the cut-set bound, classifies the
     instance, and certifies when the product condition holds and the gap is
-    zero within 1e-8 relative. Instances with a zero-capacity link are not
-    refused: they get lemma_case = NONE, a hypothesis warning, and the
-    condition flag computed anyway.
+    at most 1e-8 * max(1, bound), which is absolute below a bound of 1.
+    Instances with a zero-capacity link are not refused: they get
+    lemma_case = NONE, a hypothesis warning, and the condition flag computed
+    anyway.
     """
     rate = sr_rate_min_form(caps)
     solution = solve_bound(caps)

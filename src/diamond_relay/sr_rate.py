@@ -112,6 +112,12 @@ def _link_ratios(caps: LinkCapacities) -> tuple[tuple[int, int], ...]:
             caps.c13.as_integer_ratio(), caps.c23.as_integer_ratio())
 
 
+def _products(caps: LinkCapacities) -> tuple[int, int]:
+    """c01*c02 and c13*c23 exactly, as two ints over one common denominator, d01*d02*d13*d23."""
+    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
+    return n01 * n02 * d13 * d23, n13 * n23 * d01 * d02
+
+
 def sr_rate_closed_form(caps: LinkCapacities) -> tuple[float, float]:
     """Branch rates with the balancing fractions substituted through.
 
@@ -130,7 +136,7 @@ def sr_rate_closed_form(caps: LinkCapacities) -> tuple[float, float]:
     if caps.c23 + caps.c02 <= 0.0:
         raise DegenerateDenominatorError("c23 + c02 = 0: branch-2 closed form divides by zero")
     (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
-    cross = min(n13 * n23 * d01 * d02, n01 * n02 * d13 * d23)  # over d01*d02*d13*d23
+    cross = min(_products(caps))  # over d01*d02*d13*d23
     r1 = (n01 * n13 * d02 * d23 + cross) / (d02 * d23 * (n13 * d01 + n01 * d13))
     r2 = (n02 * n23 * d01 * d13 + cross) / (d01 * d13 * (n23 * d02 + n02 * d23))
     return r1, r2

@@ -143,6 +143,10 @@ class TestPredictedRate:
         with pytest.raises(DomainError, match="lemma_case must be a LemmaCase"):
             predicted_rate(caps_of(2.0, 3.0, 3.0, 2.0), case)
 
+    def test_zero_link_raises_hypothesis_error(self):
+        with pytest.raises(HypothesisError, match="c01 = 0"):
+            predicted_rate(caps_of(0.0, 1.0, 0.0, 1.0), LemmaCase.PRODUCT_EQUAL)
+
     @given(c01=cap, c02=cap, c13=cap)
     def test_matches_achieved_rate_under_product_condition(self, c01, c02, c13):
         caps = product_matched(c01, c02, c13)
@@ -186,6 +190,27 @@ class TestTStar:
         with pytest.raises(HypothesisError):
             t_star(caps_of(0.0, 1.0, 1.0, 1.0))
 
+    @given(c01=cap, c02=cap, c13=cap, k=wide_k)
+    def test_entries_are_the_exact_closed_forms_rounded_once(self, c01, c02, c13, k):
+        caps = product_matched(c01, c02, c13)
+        a, b, c, d = map(Fraction, (caps.c01, caps.c02, caps.c13, caps.c23))
+        ts = t_star(caps)
+        assert ts == (0.0, float(a / (c + a)), float(b / (b + d)), 0.0)
+        # every scaled link stays a normal float, so the exact forms do not move
+        assert t_star(times_power_of_two(caps, k)) == ts
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_condition_error_gives_the_exact_relative_mismatch(self, scale):
+        # c01*c02 = s^2 against c13*c23 = 4 s^2: both products leave the double range
+        caps = LinkCapacities(scale, scale, 2 * scale, 2 * scale, 2 * scale, 4 * scale)
+        with pytest.raises(ConditionError, match=r"differ by 0\.75 relative"):
+            t_star(caps)
+
+    def test_schedule_in_the_top_binade(self):
+        # c13 + c01 = 5 * 2^1022 is past the largest double
+        caps = LinkCapacities(*(math.ldexp(v, 1022) for v in (2, 3, 3, 2, 3, 3)))
+        assert t_star(caps) == (0.0, 0.4, 0.6, 0.0)
+
 
 class TestPerturbationSpec:
     def test_rejects_negative_epsilon(self):
@@ -219,6 +244,18 @@ class TestPerturbationCheck:
         pert = PerturbationSpec(epsilon=0.5, eta=0.0, gamma=0.5, delta=0.0)
         with pytest.raises(FeasibilityError):
             perturbation_check(caps, pert)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ZeroDivisionError,
+        reason="normalized_form's alpha = c13/c02 underflows to 0 at 1e-300/1e300, and "
+        "delta_c3 divides by it",
+    )
+    def test_extreme_link_ratio(self):
+        caps = LinkCapacities(1e-300, 1e300, 1e-300, 1e300, 1e300, 1e300)
+        pert = PerturbationSpec(epsilon=0.1, eta=0.0, gamma=0.05, delta=0.05)
+        d2, d3 = perturbation_check(caps, pert)
+        assert (d2, d3) == pytest.approx((5e298, -5e298), rel=1e-9)
 
     @given(
         c01=cap,

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from diamond_relay import (
     DegenerateDenominatorError,
+    LinkCapacities,
     Winner,
     induced_capacities,
     normalized_form,
@@ -103,6 +104,17 @@ class TestFormsAgree:
             sr_rate_closed_form(caps_of(0.0, 1.0, 0.0, 1.0))
         with pytest.raises(DegenerateDenominatorError, match=r"c23 \+ c02"):
             sr_rate_closed_form(caps_of(1.0, 0.0, 1.0, 0.0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="time_fractions' float sum c13 + c01 overflows at 1e308, so lambda1 and "
+        "lambda2 are 0 and r_sr is 0.0 (ROADMAP direction 1's rate step)",
+    )
+    def test_min_form_rate_at_the_top_of_the_double_range(self):
+        caps = LinkCapacities(*(1e308,) * 6)
+        assert sr_rate_closed_form(caps) == (1e308, 1e308)
+        assert sr_rate_min_form(caps).r_sr == 1e308
 
     def test_min_form_handles_degenerate_branch(self):
         # branch 1 has no working links at all; branch 2 still relays
