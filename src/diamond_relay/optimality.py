@@ -5,8 +5,9 @@ products match: c01*c02 = c13*c23. This module classifies instances by which
 equal-branch condition they satisfy (matching products, matching source
 sides, or matching relay sides), predicts the branch rate for that case,
 builds the schedule t* that equalizes all four cuts under the product
-condition, numerically replays the perturbation argument showing t* cannot
-be improved, and assembles everything into a certification report.
+condition, evaluates the perturbation argument showing t* cannot be improved
+(the paper's two closed-form cut changes, computed exactly and rounded once),
+and assembles everything into a certification report.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     InvariantError,
     NegativeGapError,
 )
-from .sr_rate import _link_ratios, _products, normalized_form, sr_rate_min_form
+from .sr_rate import _link_ratios, _products, sr_rate_min_form
 
 __all__ = [
     "LemmaCase",
@@ -201,16 +202,17 @@ def t_star(caps: LinkCapacities) -> tuple[float, float, float, float]:
 def perturbation_check(
     caps: LinkCapacities, pert: PerturbationSpec
 ) -> tuple[float, float]:
-    """First-order change of cuts 2 and 3 when t* is perturbed.
+    """Change of cuts 2 and 3 when t* is perturbed.
 
     Moving the schedule to (t1* + epsilon, t2* - gamma, t3* - delta,
-    t4* + eta) changes cut 2 by k*c02 and cut 3 by -k*c01/alpha, where
-    k = epsilon - gamma*(1 + alpha) + alpha*eta and alpha = c13/c02. The two
-    changes are computed from the shared factor k, so they carry exactly
-    opposite signs (or are zero): every time-conserving move lowers
-    min(cut2, cut3), which is why t* is optimal. Both conclusions are also
-    re-verified against exact cut evaluations, and the cuts being linear in t
-    means the "first-order" formulas are in fact exact.
+    t4* + eta) changes cut 2 by k*c02 = epsilon*c02 - gamma*(c02 + c13) +
+    eta*c13 and cut 3 by -k*c01*c02/c13. These are the paper's closed forms,
+    each evaluated exactly and rounded once, so correctly rounded at every
+    scale. They are the exact changes of the cuts when c01*c02 = c13*c23:
+    cut 2's is its row times the move, and cut 3's needs the products equal.
+    The shared factor k gives the two opposite signs (or makes both zero), so
+    every time-conserving move lowers min(cut2, cut3), which is why t* is
+    optimal. Nothing is re-checked in floats, so no InvariantError is raised.
 
     Returns:
         (delta_c2, delta_c3).
@@ -227,26 +229,14 @@ def perturbation_check(
     )
     if min(perturbed) < -1e-12:
         raise FeasibilityError(f"perturbed schedule leaves the simplex: t = {perturbed}")
-    perturbed = tuple(0.0 if v < 0.0 else v for v in perturbed)
 
-    a, b, alpha, _ = normalized_form(caps)
-    k = pert.epsilon - pert.gamma * (1.0 + alpha) + alpha * pert.eta
-    # + 0.0 keeps a vanishing k from leaking -0.0 into the reported deltas
-    delta_c2 = k * a + 0.0
-    delta_c3 = -k * b / alpha + 0.0
-
-    base_cuts = cut_values(caps, base)
-    pert_cuts = cut_values(caps, perturbed)
-    scale = max(1.0, abs(base_cuts[1]), abs(base_cuts[2]))
-    if abs((pert_cuts[1] - base_cuts[1]) - delta_c2) > 1e-9 * scale:
-        raise InvariantError("cut-2 delta disagrees with its exact evaluation")
-    if abs((pert_cuts[2] - base_cuts[2]) - delta_c3) > 1e-9 * scale:
-        raise InvariantError("cut-3 delta disagrees with its exact evaluation")
-    if delta_c2 * delta_c3 > 0.0:
-        raise InvariantError("cut deltas must have opposite signs or vanish")
-    if min(pert_cuts[1], pert_cuts[2]) > min(base_cuts[1], base_cuts[2]) + 1e-12:
-        raise InvariantError("perturbing t* must not raise min(cut2, cut3)")
-    return delta_c2, delta_c3
+    (n01, d01), (n02, d02), (n13, d13), _ = _link_ratios(caps)
+    (ne, de), (ng, dg), (nh, dh) = (
+        v.as_integer_ratio() for v in (pert.epsilon, pert.gamma, pert.eta))
+    # k*c02 over de*dg*dh*d02*d13
+    k_c02 = (ne * dg * dh * n02 * d13 - ng * de * dh * (n02 * d13 + n13 * d02)
+             + nh * de * dg * n13 * d02)
+    return k_c02 / (de * dg * dh * d02 * d13), -k_c02 * n01 / (de * dg * dh * d02 * d01 * n13)
 
 
 def certify(spec: ChannelSpec) -> OptimalityReport:

@@ -2,7 +2,8 @@
 
 Every digest and string here was recorded from the 0.1.0 code. The sweep
 CSV digests of the unconditioned and forced-product modes are the n = 200
-entries of bench/golden.json as well.
+entries of bench/golden.json as well; every other digest of that file is
+checked against a prefix of one n = 10000 sweep.
 """
 
 import hashlib
@@ -29,6 +30,13 @@ SWEEPS = {
         "0433c1ec370c8605f7412c52c681f6d84476a1a21a5a3252ebbdcf50d2f70445",
     ),
 }
+
+BENCH_WORKLOADS = {
+    # bench/golden.json workload: conditioning, distribution
+    "sweep-unconditioned": ("unconditioned", "exponential"),
+    "sweep-forced-product": ("force-product-equal", "log-uniform:0.1,10"),
+}
+GOLDEN = Path(__file__).parents[1] / "bench" / "golden.json"
 
 INPUTS = {
     "caps_2332": {"c01": 2, "c02": 3, "c13": 3, "c23": 2},
@@ -104,7 +112,7 @@ def sha256(data: bytes) -> str:
 
 
 def test_sweep_digests_match_the_benchmark_pins():
-    pinned = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text())
+    pinned = json.loads(GOLDEN.read_text())
     assert SWEEPS[("unconditioned", "exponential")][0] == pinned["sweep-unconditioned"]["200"]
     assert SWEEPS[("force-product-equal", "log-uniform:0.1,10")][0] == (
         pinned["sweep-forced-product"]["200"]
@@ -122,6 +130,22 @@ def test_sweep_files_are_pinned(tmp_path, conditioning, distribution):
     csv_digest, summary_digest = SWEEPS[(conditioning, distribution)]
     assert sha256(path.read_bytes()) == csv_digest
     assert sha256(path.with_suffix(".summary.json").read_bytes()) == summary_digest
+
+
+@pytest.mark.parametrize("workload", list(BENCH_WORKLOADS))
+def test_every_benchmark_digest_is_a_prefix_of_one_sweep(tmp_path, workload):
+    # record i depends only on (seed, i), so a shorter sweep is a prefix of a longer one
+    pinned = {int(n): digest for n, digest in json.loads(GOLDEN.read_text())[workload].items()}
+    conditioning, distribution = BENCH_WORKLOADS[workload]
+    path = tmp_path / "sweep.csv"
+    argv = [
+        "sweep", "--n", str(max(pinned)), "--seed", "0", "--conditioning", conditioning,
+        "--distribution", distribution, "--output", str(path),
+    ]
+    assert main(argv) == 0
+    lines = path.read_bytes().splitlines(keepends=True)
+    got = {n: sha256(b"".join(lines[: n + 1])) for n in pinned}  # header and n rows
+    assert got == pinned
 
 
 @pytest.mark.parametrize("name, command, fmt", list(OUTPUTS))

@@ -1,6 +1,7 @@
 """Classification, equalizing schedule, perturbation argument, certification."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -245,17 +246,18 @@ class TestPerturbationCheck:
         with pytest.raises(FeasibilityError):
             perturbation_check(caps, pert)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=ZeroDivisionError,
-        reason="normalized_form's alpha = c13/c02 underflows to 0 at 1e-300/1e300, and "
-        "delta_c3 divides by it",
-    )
     def test_extreme_link_ratio(self):
+        # c13/c02 = 1e-600 is below the double range
         caps = LinkCapacities(1e-300, 1e300, 1e-300, 1e300, 1e300, 1e300)
         pert = PerturbationSpec(epsilon=0.1, eta=0.0, gamma=0.05, delta=0.05)
         d2, d3 = perturbation_check(caps, pert)
         assert (d2, d3) == pytest.approx((5e298, -5e298), rel=1e-9)
+
+    def test_balanced_move_changes_nothing_at_large_scale(self):
+        # (2, 3, 3, 2) times 2^14: one ulp of the cuts there is about 7e-12
+        caps = LinkCapacities(32768, 49152, 49152, 32768, 49152, 49152)
+        pert = PerturbationSpec(epsilon=0.1, eta=0.1, gamma=0.1, delta=0.1)
+        assert perturbation_check(caps, pert) == (0.0, 0.0)
 
     @given(
         c01=cap,
@@ -264,10 +266,12 @@ class TestPerturbationCheck:
         eps=st.floats(min_value=0.0, max_value=0.05),
         eta=st.floats(min_value=0.0, max_value=0.05),
         split=st.floats(min_value=0.0, max_value=1.0),
+        k=wide_k,
     )
-    def test_deltas_never_share_a_sign(self, c01, c02, c13, eps, eta, split):
+    def test_deltas_never_share_a_sign(self, c01, c02, c13, eps, eta, split, k):
         """Whatever feasible direction the schedule moves, one of the two
-        middle cuts loses: their first-order changes cannot both be positive."""
+        middle cuts loses: their first-order changes cannot both be positive.
+        Both are the paper's closed forms rounded once, at every scale."""
         caps = product_matched(c01, c02, c13)
         ts = t_star(caps)
         room = min(ts[1], ts[2])
@@ -278,6 +282,12 @@ class TestPerturbationCheck:
         pert = PerturbationSpec(epsilon=eps, eta=eta, gamma=gamma, delta=sigma - gamma)
         d2, d3 = perturbation_check(caps, pert)
         assert d2 * d3 <= 1e-18
+        a, b, c = map(Fraction, (caps.c01, caps.c02, caps.c13))
+        exact = Fraction(eps) * b - Fraction(gamma) * (b + c) + Fraction(eta) * c
+        assert (d2, d3) == (float(exact), float(-exact * a / c))
+        wide = perturbation_check(times_power_of_two(caps, k), pert)
+        if all(d == 0.0 or abs(d) >= sys.float_info.min for d in (d2, d3, *wide)):
+            assert wide == (math.ldexp(d2, k), math.ldexp(d3, k))
 
 
 class TestCertify:

@@ -16,7 +16,14 @@ from diamond_relay import (
     sr_rate_min_form,
     time_fractions,
 )
-from oracles import best_phase_split_rate, times_power_of_two
+from oracles import (
+    SWEEP_FAMILIES,
+    best_phase_split_rate,
+    differential_corpus,
+    relay_swap,
+    reversal,
+    times_power_of_two,
+)
 
 cap = st.floats(min_value=1e-3, max_value=30.0, allow_nan=False)
 cap_or_zero = st.one_of(st.just(0.0), cap)
@@ -115,6 +122,43 @@ class TestFormsAgree:
         caps = LinkCapacities(*(1e308,) * 6)
         assert sr_rate_closed_form(caps) == (1e308, 1e308)
         assert sr_rate_min_form(caps).r_sr == 1e308
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="sr_rate_min_form's r_sr goes through float fractions and is not the rate "
+        "rounded once (ROADMAP direction 1's rate step)",
+    )
+    def test_min_form_rate_is_the_closed_form_rate(self):
+        # the min form reads 0.8999999999999999 here
+        caps = caps_of(1.0, 1.0, 1.5, 0.5)
+        assert sr_rate_min_form(caps).r_sr == max(sr_rate_closed_form(caps))
+        misses = {
+            family: sum(sr_rate_min_form(c).r_sr != max(sr_rate_closed_form(c))
+                        for c in differential_corpus(family, 200))
+            for family in SWEEP_FAMILIES
+        }
+        assert misses == dict.fromkeys(SWEEP_FAMILIES, 0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="r_sr is not correctly rounded, so its last bit follows the link order "
+        "(ROADMAP direction 1's rate step)",
+    )
+    def test_min_form_rate_is_invariant_under_symmetry(self):
+        # both maps give 0.9000000000000001 here, against 0.8999999999999999
+        caps = caps_of(1.0, 1.0, 1.5, 0.5)
+        r_sr = sr_rate_min_form(caps).r_sr
+        assert (sr_rate_min_form(relay_swap(caps)).r_sr,
+                sr_rate_min_form(reversal(caps)).r_sr) == (r_sr, r_sr)
+        moved = {
+            (family, symmetry.__name__): sum(
+                sr_rate_min_form(symmetry(c)).r_sr != sr_rate_min_form(c).r_sr
+                for c in differential_corpus(family, 200))
+            for family in SWEEP_FAMILIES for symmetry in (relay_swap, reversal)
+        }
+        assert set(moved.values()) == {0}, moved
 
     def test_min_form_handles_degenerate_branch(self):
         # branch 1 has no working links at all; branch 2 still relays
