@@ -197,6 +197,21 @@ class LinkCapacities:
     to_dict = plain_dict
 
 
+def _integers(caps: LinkCapacities) -> tuple[int, int, int, int, int, int, int]:
+    """(D, c01, c02, c13, c23, c012, c123): each capacity exactly as an int over D.
+
+    D is the largest denominator of the six floats, a power of two, so every
+    other denominator divides it. The exact forms unpack the view as D, a, b,
+    c, d: c01, c02, c13 and c23 times D. A formula in these ints is exact at
+    every scale, and Python rounds an int/int division correctly.
+    """
+    (n01, d01), (n02, d02), (n13, d13), (n23, d23), (n012, d012), (n123, d123) = map(
+        float.as_integer_ratio, (caps.c01, caps.c02, caps.c13, caps.c23, caps.c012, caps.c123))
+    D = max(d01, d02, d13, d23, d012, d123)
+    return (D, n01 * (D // d01), n02 * (D // d02), n13 * (D // d13), n23 * (D // d23),
+            n012 * (D // d012), n123 * (D // d123))
+
+
 def link_capacity(gain: float, power: float, noise_var: float) -> float:
     """Capacity of one Gaussian link: log2(1 + gain * power / noise_var).
 

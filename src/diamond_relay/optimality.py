@@ -19,6 +19,7 @@ from .channel_model import (
     ChannelSpec,
     LinkCapacities,
     _check_fields,
+    _integers,
     derive_capacities,
     plain_dict,
 )
@@ -31,7 +32,7 @@ from .errors import (
     InvariantError,
     NegativeGapError,
 )
-from .sr_rate import _link_ratios, _products, sr_rate_min_form
+from .sr_rate import sr_rate_min_form
 
 __all__ = [
     "LemmaCase",
@@ -115,7 +116,8 @@ def _agree(x: float | int, y: float | int) -> bool:
 
 def product_condition_holds(caps: LinkCapacities) -> bool:
     """True when c01*c02 and c13*c23 agree within 1e-9 relative."""
-    return _agree(*_products(caps))
+    _, a, b, c, d, _, _ = _integers(caps)
+    return _agree(a * b, c * d)
 
 
 def _require_positive_links(caps: LinkCapacities) -> None:
@@ -143,7 +145,8 @@ def classify(caps: LinkCapacities) -> LemmaCase:
         HypothesisError: if any link capacity is 0.
     """
     _require_positive_links(caps)
-    p_source, p_relay = _products(caps)
+    _, a, b, c, d, _, _ = _integers(caps)
+    p_source, p_relay = a * b, c * d
     if _agree(p_source, p_relay):
         return LemmaCase.PRODUCT_EQUAL
     if _agree(caps.c01, caps.c02) and p_source <= p_relay:
@@ -170,8 +173,8 @@ def predicted_rate(caps: LinkCapacities, lemma_case: LemmaCase) -> float:
     if lemma_case is LemmaCase.NONE:
         raise ConditionError("no equal-branch condition holds; there is no predicted rate")
     if lemma_case is LemmaCase.PRODUCT_EQUAL:
-        (n01, d01), (n02, d02), (n13, d13), _ = _link_ratios(caps)
-        return n01 * (n13 * d02 + n02 * d13) / (d02 * (n13 * d01 + n01 * d13))
+        D, a, b, c, _, _, _ = _integers(caps)
+        return a * (c + b) / (D * (c + a))
     if lemma_case is LemmaCase.SOURCE_SIDES_EQUAL:
         return caps.c02
     return caps.c13
@@ -192,11 +195,20 @@ def t_star(caps: LinkCapacities) -> tuple[float, float, float, float]:
             exact relative mismatch |p - q| / max(p, q) of the two products.
     """
     _require_positive_links(caps)
-    p, q = _products(caps)
+    _, a, b, c, d, _, _ = _integers(caps)
+    p, q = a * b, c * d
     if not _agree(p, q):
         raise ConditionError(f"c01*c02 and c13*c23 differ by {abs(p - q) / max(p, q)} relative")
-    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
-    return (0.0, n01 * d13 / (n13 * d01 + n01 * d13), n02 * d23 / (n02 * d23 + n23 * d02), 0.0)
+    return (0.0, a / (c + a), b / (b + d), 0.0)
+
+
+def _rounded(num: int, den: int) -> float:
+    """num/den correctly rounded for den > 0: past the largest double that is a
+    signed inf, where Python's int division raises OverflowError instead."""
+    try:
+        return num / den
+    except OverflowError:
+        return float("inf") if num > 0 else float("-inf")
 
 
 def perturbation_check(
@@ -208,8 +220,9 @@ def perturbation_check(
     t4* + eta) changes cut 2 by k*c02 = epsilon*c02 - gamma*(c02 + c13) +
     eta*c13 and cut 3 by -k*c01*c02/c13. These are the paper's closed forms,
     each evaluated exactly and rounded once, so correctly rounded at every
-    scale. They are the exact changes of the cuts when c01*c02 = c13*c23:
-    cut 2's is its row times the move, and cut 3's needs the products equal.
+    scale, ±inf included past the largest double. They are the exact changes
+    of the cuts when c01*c02 = c13*c23: cut 2's is its row times the move,
+    and cut 3's needs the products equal.
     The shared factor k gives the two opposite signs (or makes both zero), so
     every time-conserving move lowers min(cut2, cut3), which is why t* is
     optimal. Nothing is re-checked in floats, so no InvariantError is raised.
@@ -230,13 +243,11 @@ def perturbation_check(
     if min(perturbed) < -1e-12:
         raise FeasibilityError(f"perturbed schedule leaves the simplex: t = {perturbed}")
 
-    (n01, d01), (n02, d02), (n13, d13), _ = _link_ratios(caps)
+    D, a, b, c, _, _, _ = _integers(caps)
     (ne, de), (ng, dg), (nh, dh) = (
         v.as_integer_ratio() for v in (pert.epsilon, pert.gamma, pert.eta))
-    # k*c02 over de*dg*dh*d02*d13
-    k_c02 = (ne * dg * dh * n02 * d13 - ng * de * dh * (n02 * d13 + n13 * d02)
-             + nh * de * dg * n13 * d02)
-    return k_c02 / (de * dg * dh * d02 * d13), -k_c02 * n01 / (de * dg * dh * d02 * d01 * n13)
+    k_c02 = ne * dg * dh * b - ng * de * dh * (b + c) + nh * de * dg * c  # over de*dg*dh*D
+    return _rounded(k_c02, de * dg * dh * D), _rounded(-k_c02 * a, de * dg * dh * D * c)
 
 
 def certify(spec: ChannelSpec) -> OptimalityReport:

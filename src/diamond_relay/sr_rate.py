@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .channel_model import LinkCapacities, plain_dict
+from .channel_model import LinkCapacities, _integers, plain_dict
 from .errors import DegenerateDenominatorError
 
 __all__ = [
@@ -105,19 +105,6 @@ def sr_rate_min_form(caps: LinkCapacities) -> SrRateResult:
     )
 
 
-def _link_ratios(caps: LinkCapacities) -> tuple[tuple[int, int], ...]:
-    """(n, d) for c01, c02, c13 and c23, each capacity exactly n/d: a formula in these
-    ints is exact at every scale, and Python rounds an int/int division correctly."""
-    return (caps.c01.as_integer_ratio(), caps.c02.as_integer_ratio(),
-            caps.c13.as_integer_ratio(), caps.c23.as_integer_ratio())
-
-
-def _products(caps: LinkCapacities) -> tuple[int, int]:
-    """c01*c02 and c13*c23 exactly, as two ints over one common denominator, d01*d02*d13*d23."""
-    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
-    return n01 * n02 * d13 * d23, n13 * n23 * d01 * d02
-
-
 def sr_rate_closed_form(caps: LinkCapacities) -> tuple[float, float]:
     """Branch rates with the balancing fractions substituted through.
 
@@ -135,11 +122,9 @@ def sr_rate_closed_form(caps: LinkCapacities) -> tuple[float, float]:
         raise DegenerateDenominatorError("c13 + c01 = 0: branch-1 closed form divides by zero")
     if caps.c23 + caps.c02 <= 0.0:
         raise DegenerateDenominatorError("c23 + c02 = 0: branch-2 closed form divides by zero")
-    (n01, d01), (n02, d02), (n13, d13), (n23, d23) = _link_ratios(caps)
-    cross = min(_products(caps))  # over d01*d02*d13*d23
-    r1 = (n01 * n13 * d02 * d23 + cross) / (d02 * d23 * (n13 * d01 + n01 * d13))
-    r2 = (n02 * n23 * d01 * d13 + cross) / (d01 * d13 * (n23 * d02 + n02 * d23))
-    return r1, r2
+    D, a, b, c, d, _, _ = _integers(caps)
+    cross = min(a * b, c * d)
+    return (a * c + cross) / (D * (a + c)), (b * d + cross) / (D * (b + d))
 
 
 def normalized_form(caps: LinkCapacities) -> tuple[float, float, float, float]:

@@ -1,6 +1,7 @@
 """Gains-to-capacities layer: validation, known values, round trips."""
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from diamond_relay import (
     induced_capacities,
     link_capacity,
 )
-from diamond_relay.channel_model import _checked_value
+from diamond_relay.channel_model import _checked_value, _integers
 
 LOG2_7 = 2.807354922057604
 LOG2_13 = 3.700439718141092
@@ -245,6 +246,42 @@ class TestLinkCapacitiesValidation:
         caps = induced_capacities(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(AttributeError):
             caps.c01 = 2.0
+
+
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+class TestIntegerView:
+    """_integers gives D and the six capacities as ints over D, exactly."""
+
+    @staticmethod
+    def check(caps):
+        den, *ints = _integers(caps)
+        values = list(caps.to_dict().values())
+        assert den > 0 and den & (den - 1) == 0  # a power of two
+        assert den == max(v.as_integer_ratio()[1] for v in values)
+        assert all(type(n) is int for n in ints)
+        assert [Fraction(n, den) for n in ints] == [Fraction(v) for v in values]
+
+    @pytest.mark.parametrize("values", [
+        (0.0,) * 6,
+        (2.0, 3.0, 3.0, 2.0, 3.5, 3.5),
+        (5e-324, 0.0, 1e-310, 5e-324, 5e-324, 1e-310),  # subnormals
+        (sys.float_info.max,) * 6,
+        (2.0**-1074, 2.0**1000, 0.0, 2.0**-1074, 2.0**1000, 2.0**-1074),
+        (2.0**1000, 1.5, 2.0**-1022, 2.0**1000, 2.0**1000, 2.0**1000),
+        (1.0, 0.1, 1e-300, sys.float_info.max, 1.0, sys.float_info.max),
+        (1.0, 1.0, 2.0, 2.0, 1.0 + 2.0**-52, 2.0),  # a cut holds D
+        (0.0, 0.0, 2.0**1000, 0.0, 5e-324, 2.0**1000),
+    ])
+    def test_mixed_scales(self, values):
+        self.check(LinkCapacities(*values))
+
+    @given(links=st.tuples(*[nonnegative] * 4), cuts=st.tuples(nonnegative, nonnegative))
+    def test_any_instance(self, links, cuts):
+        c01, c02, c13, c23 = links
+        self.check(LinkCapacities(c01, c02, c13, c23, max(c01, c02, cuts[0]),
+                                  max(c13, c23, cuts[1])))
 
 
 # each record type with valid fields, in field order

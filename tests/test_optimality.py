@@ -38,6 +38,8 @@ from oracles import (
     SWEEP_FAMILIES,
     SYMMETRIES,
     differential_corpus,
+    relay_swap,
+    reversal,
     times_power_of_two,
 )
 
@@ -118,10 +120,24 @@ class TestClassify:
     # taken as a float, which is subnormal there
     @example(c01=1.0, c02=1.000000001, c13=2.000000002, c23=2.000000002, k=-1022)
     def test_verdicts_unchanged_under_wide_power_of_two_scaling(self, c01, c02, c13, c23, k):
-        caps = caps_of(c01, c02, c13, c23)
-        scaled = times_power_of_two(caps, k)
-        assert classify(scaled) is classify(caps)
-        assert product_condition_holds(scaled) == product_condition_holds(caps)
+        # a relay swap exchanges the factors within each product and within each side
+        for caps in (caps_of(c01, c02, c13, c23), product_matched(c01, c02, c13)):
+            scaled = times_power_of_two(caps, k)
+            for moved in (scaled, relay_swap(scaled)):
+                assert classify(moved) is classify(caps)
+                assert product_condition_holds(moved) == product_condition_holds(caps)
+
+    @given(side=cap, c13=cap, c23=cap, k=wide_k)
+    @example(side=1.0, c13=2.0, c23=3.0, k=0)
+    def test_reversal_swaps_the_side_cases(self, side, c13, c23, k):
+        # reversal exchanges the two products and the two sides, so a source
+        # side case becomes a relay side case and back; c01 = c02 makes both occur
+        caps = times_power_of_two(caps_of(side, side, c13, c23), k)
+        swapped = {LemmaCase.SOURCE_SIDES_EQUAL: LemmaCase.RELAY_SIDES_EQUAL,
+                   LemmaCase.RELAY_SIDES_EQUAL: LemmaCase.SOURCE_SIDES_EQUAL}
+        for instance in (caps, reversal(caps)):
+            case = classify(instance)
+            assert classify(reversal(instance)) is swapped.get(case, case)
 
 
 class TestPredictedRate:
@@ -212,6 +228,12 @@ class TestTStar:
         caps = LinkCapacities(*(math.ldexp(v, 1022) for v in (2, 3, 3, 2, 3, 3)))
         assert t_star(caps) == (0.0, 0.4, 0.6, 0.0)
 
+    @given(c01=cap, c02=cap, c13=cap, k=wide_k)
+    def test_relay_swap_swaps_the_middle_entries(self, c01, c02, c13, k):
+        caps = times_power_of_two(product_matched(c01, c02, c13), k)
+        _, t2, t3, _ = t_star(caps)
+        assert t_star(relay_swap(caps)) == (0.0, t3, t2, 0.0)
+
 
 class TestPerturbationSpec:
     def test_rejects_negative_epsilon(self):
@@ -252,6 +274,22 @@ class TestPerturbationCheck:
         pert = PerturbationSpec(epsilon=0.1, eta=0.0, gamma=0.05, delta=0.05)
         d2, d3 = perturbation_check(caps, pert)
         assert (d2, d3) == pytest.approx((5e298, -5e298), rel=1e-9)
+
+    def test_cut_2_change_past_the_largest_double_is_inf(self):
+        # all of t3* moved into t2*: gamma*(c02 + c13) is about 2^1025
+        big = 1.75 * 2.0**1023
+        caps = LinkCapacities(2.0**1000, big, big, 2.0**1000, big, big)
+        t3 = t_star(caps)[2]
+        pert = PerturbationSpec(epsilon=0.0, eta=0.0, gamma=-t3, delta=t3)
+        assert perturbation_check(caps, pert) == (math.inf, -2.143017068391082e+301)
+
+    def test_cut_3_change_past_the_largest_double_is_inf(self):
+        # the relay-swapped instance, all of t2* moved into t3*
+        big = 1.75 * 2.0**1023
+        caps = LinkCapacities(big, 2.0**1000, 2.0**1000, big, big, big)
+        t2 = t_star(caps)[1]
+        pert = PerturbationSpec(epsilon=0.0, eta=0.0, gamma=t2, delta=-t2)
+        assert perturbation_check(caps, pert) == (-2.143017068391082e+301, math.inf)
 
     def test_balanced_move_changes_nothing_at_large_scale(self):
         # (2, 3, 3, 2) times 2^14: one ulp of the cuts there is about 7e-12

@@ -183,15 +183,13 @@ class TestAgainstSplitOracle:
 
 
 class TestStructure:
-    @given(c01=cap, c02=cap, c13=cap, c23=cap)
-    def test_relabeling_relays_swaps_branches_exactly(self, c01, c02, c13, c23):
-        """Renaming relay 1 to relay 2 swaps the closed-form rates bitwise:
-        every operand pair just commutes."""
-        caps = caps_of(c01, c02, c13, c23)
-        swapped = caps_of(c02, c01, c23, c13)
+    @given(c01=cap, c02=cap, c13=cap, c23=cap, k=wide_k)
+    def test_relabeling_relays_swaps_branches_exactly(self, c01, c02, c13, c23, k):
+        """Renaming relay 1 to relay 2 swaps the closed-form rates bitwise, at
+        every scale: every operand pair just commutes."""
+        caps = times_power_of_two(caps_of(c01, c02, c13, c23), k)
         r1, r2 = sr_rate_closed_form(caps)
-        s1, s2 = sr_rate_closed_form(swapped)
-        assert (r1, r2) == (s2, s1)
+        assert sr_rate_closed_form(relay_swap(caps)) == (r2, r1)
 
     @given(c01=cap, c02=cap, c13=cap, c23=cap)
     def test_relabeling_relays_swaps_branches_min_form(self, c01, c02, c13, c23):
