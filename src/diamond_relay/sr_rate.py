@@ -24,7 +24,6 @@ __all__ = [
     "time_fractions",
     "sr_rate_min_form",
     "sr_rate_closed_form",
-    "normalized_form",
 ]
 
 # both branches come from the same inputs, so exact ties are real, not noise
@@ -125,23 +124,3 @@ def sr_rate_closed_form(caps: LinkCapacities) -> tuple[float, float]:
     D, a, b, c, d, _, _ = _integers(caps)
     cross = min(a * b, c * d)
     return (a * c + cross) / (D * (a + c)), (b * d + cross) / (D * (b + d))
-
-
-def normalized_form(caps: LinkCapacities) -> tuple[float, float, float, float]:
-    """Capacities rescaled against the source-side links: (a, b, alpha, beta).
-
-    a = c02, b = c01, alpha = c13/a, beta = c23/b. The product alpha*beta
-    measures the relay side against the source side; alpha*beta = 1 is
-    equivalent to the capacity products matching.
-
-    Raises:
-        DegenerateDenominatorError: if c01 = 0 or c02 = 0.
-    """
-    if caps.c01 <= 0.0 or caps.c02 <= 0.0:
-        raise DegenerateDenominatorError(
-            "normalization needs c01 > 0 and c02 > 0, got "
-            f"c01 = {caps.c01}, c02 = {caps.c02}"
-        )
-    a = caps.c02
-    b = caps.c01
-    return a, b, caps.c13 / a, caps.c23 / b

@@ -90,8 +90,8 @@ PUBLIC_NAMES = [
     "OptimalityReport", "PerturbationSpec", "SrRateResult", "SweepConfig",
     "SweepRecord", "Winner", "__version__", "certify", "certify_capacities",
     "classify", "cut_values", "derive_capacities", "gain_for_capacity",
-    "induced_capacities", "iter_records", "link_capacity", "normalized_form",
-    "perturbation_check", "predicted_rate", "product_condition_holds", "run_sweep",
+    "induced_capacities", "iter_records", "link_capacity", "perturbation_check",
+    "predicted_rate", "product_condition_holds", "run_sweep",
     "sample_instance", "solve_bound", "sr_rate_closed_form", "sr_rate_min_form",
     "summarize", "t_star", "time_fractions", "write_records_csv",
     "write_summary_json",

@@ -11,7 +11,6 @@ from diamond_relay import (
     LinkCapacities,
     Winner,
     induced_capacities,
-    normalized_form,
     sr_rate_closed_form,
     sr_rate_min_form,
     time_fractions,
@@ -222,25 +221,3 @@ class TestStructure:
         assert d["winner"] == "tie"
         assert d["degenerate"] is False
         assert set(d) == {"lambda1", "lambda2", "r1", "r2", "r_sr", "winner", "degenerate"}
-
-
-class TestNormalizedForm:
-    def test_values(self):
-        a, b, alpha, beta = normalized_form(caps_of(2.0, 3.0, 3.0, 2.0))
-        assert (a, b) == (3.0, 2.0)
-        assert alpha == pytest.approx(1.0, abs=1e-15)
-        assert beta == pytest.approx(1.0, abs=1e-15)
-
-    @given(
-        c01=st.floats(min_value=0.1, max_value=10.0),
-        c02=st.floats(min_value=0.1, max_value=10.0),
-        c13=st.floats(min_value=0.1, max_value=10.0),
-    )
-    def test_alpha_beta_product_is_one_when_products_match(self, c01, c02, c13):
-        c23 = c01 * c02 / c13
-        _, _, alpha, beta = normalized_form(caps_of(c01, c02, c13, c23))
-        assert alpha * beta == pytest.approx(1.0, rel=1e-12)
-
-    def test_rejects_zero_source_link(self):
-        with pytest.raises(DegenerateDenominatorError):
-            normalized_form(caps_of(0.0, 1.0, 1.0, 1.0))
