@@ -240,6 +240,55 @@ class TestTStar:
         assert t_star(relay_swap(caps)) == (0.0, t3, t2, 0.0)
 
 
+def normalized(caps):
+    """The paper's normalization, exact: a = c02, b = c01, alpha = c13/a, beta = c23/b."""
+    a, b = Fraction(caps.c02), Fraction(caps.c01)
+    return a, b, Fraction(caps.c13) / a, Fraction(caps.c23) / b
+
+
+class TestNormalizedCondition:
+    def test_paper_example(self):
+        # (2, 3, 3, 2): a = 3, b = 2, alpha = beta = 1; rate ab(1 + alpha)/(alpha a + b)
+        caps = caps_of(2.0, 3.0, 3.0, 2.0)
+        assert normalized(caps) == (3, 2, 1, 1)
+        assert product_condition_holds(caps)
+        assert predicted_rate(caps, LemmaCase.PRODUCT_EQUAL) == 2.4
+        assert t_star(caps) == (0.0, 0.4, 0.6, 0.0)
+
+    @given(c01=cap, c02=cap, c13=cap, u=st.floats(min_value=-3e-9, max_value=3e-9), k=wide_k)
+    @example(c01=1.0, c02=1.0, c13=1.0, u=0.9e-9, k=0)
+    @example(c01=1.0, c02=1.0, c13=1.0, u=-1.1e-9, k=0)
+    def test_condition_holds_exactly_when_alpha_beta_is_one(self, c01, c02, c13, u, k):
+        # the 1e-9 relative tolerance of the products, read as |alpha beta - 1|
+        c23 = c01 * c02 / c13 * (1.0 + u)
+        caps = times_power_of_two(
+            induced_capacities(c01, c02, c13, c23, c012=c01 + c02, c123=c13 + c23), k)
+        _, _, alpha, beta = normalized(caps)
+        ab = alpha * beta
+        holds = abs(ab - 1) * 10**9 <= max(1, ab)
+        assert product_condition_holds(caps) == holds
+        assert (classify(caps) is LemmaCase.PRODUCT_EQUAL) == holds
+
+    @given(i=st.integers(1, 1000), j=st.integers(1, 1000), m=st.integers(1, 1000),
+           n=st.integers(1, 1000), k=wide_k)
+    def test_schedule_and_rate_in_normalized_form(self, i, j, m, n, k):
+        # c01 c02 = c13 c23 = ijmn exactly, so alpha beta = 1 with no rounding
+        c01, c02, c13, c23 = (math.ldexp(v, k) for v in (i * m, j * n, i * j, m * n))
+        caps = LinkCapacities(c01, c02, c13, c23, c01 + c02, c13 + c23)
+        a, b, alpha, beta = normalized(caps)
+        assert alpha * beta == 1
+        t2, t3 = b / (alpha * a + b), a / (a + beta * b)
+        assert t2 + t3 == 1
+        rate = a * b * (1 + alpha) / (alpha * a + b)
+        assert t_star(caps) == (0.0, float(t2), float(t3), 0.0)
+        assert predicted_rate(caps, LemmaCase.PRODUCT_EQUAL) == float(rate)
+        # at the exact t* every cut is the rate: c02 t2 + c01 t3, (c02 + c13) t2,
+        # (c01 + c23) t3 and c13 t2 + c23 t3
+        c = alpha * a
+        d = beta * b
+        assert {a * t2 + b * t3, (a + c) * t2, (b + d) * t3, c * t2 + d * t3} == {rate}
+
+
 class TestPerturbationSpec:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(DomainError):
