@@ -46,9 +46,6 @@ __all__ = [
     "certify_capacities",
 ]
 
-_CERT_GAP_REL_TOL = 1e-8
-
-
 class LemmaCase(enum.Enum):
     """Which equal-branch condition an instance satisfies."""
 
@@ -63,9 +60,9 @@ class OptimalityReport:
     """Certification summary for one instance.
 
     capacity_certified is true exactly when the product condition holds and
-    the measured gap is at most 1e-8 * max(1, bound): relative to the bound
-    above a bound of 1, absolute below it; predicted_rate and t_star are
-    present only when a case applies / the product condition holds.
+    |gap| <= 1e-8 * bound: one relative rule at every scale, so a bound below
+    the rate by more than that is never certified; predicted_rate and t_star
+    are present only when a case applies / the product condition holds.
     """
 
     lemma_case: LemmaCase
@@ -106,8 +103,8 @@ class PerturbationSpec:
             )
 
 
-def _agree(x: float | int, y: float | int) -> bool:
-    """True when x and y agree within 1e-9 relative; an int is never made a float."""
+def _agree(x: int, y: int) -> bool:
+    """True when the ints x and y agree within 1e-9 relative, compared exactly."""
     # condition instances are constructed exactly; the tolerance absorbs rounding
     return abs(x - y) * 10**9 <= max(x, y)
 
@@ -118,12 +115,13 @@ def product_condition_holds(caps: LinkCapacities) -> bool:
     return _agree(a * b, c * d)
 
 
-def _require_positive_links(caps: LinkCapacities) -> None:
+def _positive_view(caps: LinkCapacities) -> tuple[int, int, int, int, int, int, int]:
+    """The integer view of caps, refused with HypothesisError when a link is 0."""
     for name in ("c01", "c02", "c13", "c23"):
         if getattr(caps, name) <= 0.0:
-            raise HypothesisError(
-                f"{name} = 0: equal-branch analysis needs all four link capacities positive"
-            )
+            raise HypothesisError(f"{name} = 0: equal-branch analysis needs all four "
+                                  "link capacities positive")
+    return _integers(caps)
 
 
 def classify(caps: LinkCapacities) -> LemmaCase:
@@ -137,19 +135,19 @@ def classify(caps: LinkCapacities) -> LemmaCase:
     2. the source sides match, c01 = c02, with c01*c02 <= c13*c23;
     3. the relay sides match, c13 = c23, with c01*c02 >= c13*c23.
 
-    All comparisons use a 1e-9 relative tolerance.
+    Every comparison reads only the exact integer view of the instance, with a
+    1e-9 relative tolerance, so no verdict depends on the unit of capacity.
 
     Raises:
         HypothesisError: if any link capacity is 0.
     """
-    _require_positive_links(caps)
-    _, a, b, c, d, _, _ = _integers(caps)
+    _, a, b, c, d, _, _ = _positive_view(caps)
     p_source, p_relay = a * b, c * d
     if _agree(p_source, p_relay):
         return LemmaCase.PRODUCT_EQUAL
-    if _agree(caps.c01, caps.c02) and p_source <= p_relay:
+    if _agree(a, b) and p_source <= p_relay:
         return LemmaCase.SOURCE_SIDES_EQUAL
-    if _agree(caps.c13, caps.c23) and p_source >= p_relay:
+    if _agree(c, d) and p_source >= p_relay:
         return LemmaCase.RELAY_SIDES_EQUAL
     return LemmaCase.NONE
 
@@ -165,13 +163,12 @@ def predicted_rate(caps: LinkCapacities, lemma_case: LemmaCase) -> float:
         DomainError: if lemma_case is not a LemmaCase.
         ConditionError: for the no-condition case.
     """
-    _require_positive_links(caps)
+    D, a, b, c, _, _, _ = _positive_view(caps)
     if not isinstance(lemma_case, LemmaCase):
         raise DomainError(f"lemma_case must be a LemmaCase, got {lemma_case!r}")
     if lemma_case is LemmaCase.NONE:
         raise ConditionError("no equal-branch condition holds; there is no predicted rate")
     if lemma_case is LemmaCase.PRODUCT_EQUAL:
-        D, a, b, c, _, _, _ = _integers(caps)
         return a * (c + b) / (D * (c + a))
     if lemma_case is LemmaCase.SOURCE_SIDES_EQUAL:
         return caps.c02
@@ -192,8 +189,7 @@ def t_star(caps: LinkCapacities) -> tuple[float, float, float, float]:
         ConditionError: if the product condition fails; the message gives the
             exact relative mismatch |p - q| / max(p, q) of the two products.
     """
-    _require_positive_links(caps)
-    _, a, b, c, d, _, _ = _integers(caps)
+    _, a, b, c, d, _, _ = _positive_view(caps)
     p, q = a * b, c * d
     if not _agree(p, q):
         raise ConditionError(f"c01*c02 and c13*c23 differ by {abs(p - q) / max(p, q)} relative")
@@ -257,8 +253,8 @@ def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
     """Certification directly from capacities.
 
     Computes the achievable rate and the cut-set bound, classifies the
-    instance, and certifies when the product condition holds and the gap is
-    at most 1e-8 * max(1, bound), which is absolute below a bound of 1.
+    instance, and certifies when the product condition holds and
+    |gap| <= 1e-8 * bound, a rule relative to the bound at every scale.
     Instances with a zero-capacity link are not refused: they get
     lemma_case = NONE, a hypothesis warning, and the condition flag computed
     anyway.
@@ -294,7 +290,7 @@ def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
     if case is LemmaCase.PRODUCT_EQUAL:
         star = t_star(caps)
 
-    certified = condition and gap <= _CERT_GAP_REL_TOL * max(1.0, solution.bound)
+    certified = condition and abs(gap) <= 1e-8 * solution.bound
     return OptimalityReport(
         lemma_case=case,
         condition_holds=condition,

@@ -44,8 +44,9 @@ class SrRateResult:
 
     lambda1 and lambda2 are the two balancing listening fractions, r1 and r2
     the corresponding branch rates, r_sr = max(r1, r2) the achievable rate.
-    degenerate is set when a branch's balancing denominator vanished and its
-    rate was pinned to 0 by convention.
+    winner is TIE when |r1 - r2| <= 1e-12 * r_sr, one relative rule at every
+    scale, and otherwise the larger branch. degenerate is set when a branch's
+    balancing denominator vanished and its rate was pinned to 0 by convention.
     """
 
     lambda1: float
@@ -87,7 +88,7 @@ def sr_rate_min_form(caps: LinkCapacities) -> SrRateResult:
     r1 = lambda1 * caps.c01 + min(lambda1 * caps.c23, (1.0 - lambda1) * caps.c02)
     r2 = lambda2 * caps.c23 + min((1.0 - lambda2) * caps.c13, lambda2 * caps.c01)
     r_sr = max(r1, r2)
-    if abs(r1 - r2) <= _TIE_REL_TOL * max(1.0, r_sr):
+    if abs(r1 - r2) <= _TIE_REL_TOL * r_sr:
         winner = Winner.TIE
     elif r1 > r2:
         winner = Winner.BRANCH1

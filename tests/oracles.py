@@ -39,24 +39,15 @@ import numpy as np
 from diamond_relay import LinkCapacities
 
 
-def phase_split_rate(caps: LinkCapacities, lam: float) -> float:
-    """End-to-end rate of the alternating schedule at phase split ``lam``.
-
-    ``lam`` is the fraction of time in the phase where relay 1 listens and
-    relay 2 forwards; each relay is limited by the smaller of what it can
-    decode and what it can deliver.
-    """
-    through_1 = min(lam * caps.c01, (1.0 - lam) * caps.c13)
-    through_2 = min((1.0 - lam) * caps.c02, lam * caps.c23)
-    return through_1 + through_2
-
-
 def best_phase_split_rate(caps: LinkCapacities, n_grid: int = 20001) -> float:
     """Maximize the alternating-schedule rate over a dense grid of splits.
 
-    The objective is piecewise linear in the split with breakpoints where
-    either relay's decode and delivery constraints cross, so the two exact
-    crossing points are always included alongside the grid.
+    A split lam is the fraction of time in the phase where relay 1 listens
+    and relay 2 forwards; each relay carries the smaller of what it can
+    decode and what it can deliver. The objective is piecewise linear in the
+    split with breakpoints where either relay's decode and delivery
+    constraints cross, so the two exact crossing points are always included
+    alongside the grid.
     """
     lams = list(np.linspace(0.0, 1.0, n_grid))
     if caps.c13 + caps.c01 > 0.0:

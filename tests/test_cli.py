@@ -119,6 +119,17 @@ class TestCertify:
         assert payload["capacity_certified"] is False
         assert payload["gap"] > 1e-3
 
+    def test_bound_below_rate_is_not_certified(self, capsys):
+        # (2, 3, 3, 2) with cuts 3.5, times 2^-40: the float bound reads 0.0
+        # below the rate of 2.18e-12, so the relative gap rule refuses it
+        inst = {"c01": 2, "c02": 3, "c13": 3, "c23": 2, "c012": 3.5, "c123": 3.5}
+        scaled = json.dumps({k: v * 2.0**-40 for k, v in inst.items()})
+        code, out, _ = run(capsys, "certify", "--input", scaled)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["condition_holds"] is True
+        assert payload["capacity_certified"] is False
+
     def test_tiny_links_are_classified_as_at_scale_one(self, capsys):
         # both capacity products underflow to 0.0 as plain float products
         inst = {"c01": 1e-170, "c02": 2e-170, "c13": 3e-170, "c23": 5e-171}

@@ -141,6 +141,32 @@ class TestClassify:
             assert classify(reversal(instance)) is swapped.get(case, case)
 
 
+LINKS = ("c01", "c02", "c13", "c23")
+
+
+class TestPositiveLinkGate:
+    """classify, predicted_rate and t_star refuse a zero link before anything else."""
+
+    @pytest.mark.parametrize("name", LINKS)
+    def test_every_entry_point_refuses_a_zero_link(self, name):
+        caps = caps_of(**{**dict(zip(LINKS, (2.0, 3.0, 3.0, 2.0))), name: 0.0})
+        calls = [classify, t_star]
+        calls += [lambda caps, case=case: predicted_rate(caps, case) for case in LemmaCase]
+        for call in calls:
+            with pytest.raises(HypothesisError, match=rf"^{name} = 0: "):
+                call(caps)
+
+    @pytest.mark.parametrize("case", ["none", None, "product_equal"])
+    def test_zero_link_is_refused_before_a_bad_lemma_case(self, case):
+        with pytest.raises(HypothesisError, match=r"^c13 = 0: "):
+            predicted_rate(caps_of(2.0, 3.0, 0.0, 2.0), case)
+
+    def test_smallest_positive_links_pass(self):
+        tiny = LinkCapacities(*(v * 5e-324 for v in (1, 1, 1, 1, 2, 2)))
+        assert classify(tiny) is LemmaCase.PRODUCT_EQUAL
+        assert t_star(tiny) == (0.0, 0.5, 0.5, 0.0)
+
+
 class TestPredictedRate:
     def test_product_case_value(self):
         caps = caps_of(2.0, 3.0, 3.0, 2.0)
@@ -459,7 +485,7 @@ class TestCertify:
         report = certify_capacities(caps_of(c01, c02, c13, c23))
         if report.capacity_certified:
             assert report.condition_holds
-            assert report.gap <= 1e-8 * max(1.0, report.bound)
+            assert abs(report.gap) <= 1e-8 * report.bound
 
     @given(c01=cap, c02=cap, c13=cap)
     def test_product_condition_certifies(self, c01, c02, c13):
@@ -477,6 +503,16 @@ class TestCertify:
         report = certify_capacities(caps)
         assert report.gap == 0.0
         assert report.bound == report.r_sr
+        assert not report.capacity_certified
+
+    def test_bound_below_rate_at_small_scale_is_not_certified(self):
+        # the paper's example x 2^-40: the float solver's absolute slack reads
+        # a bound of 0.0 below the rate (ROADMAP direction 1); the relative gap
+        # rule refuses the certificate there, as it would at scale 1
+        caps = times_power_of_two(LinkCapacities(2, 3, 3, 2, 3.5, 3.5), -40)
+        report = certify_capacities(caps)
+        assert report.condition_holds
+        assert report.bound == 0.0 < report.r_sr == 2.1827872842550277e-12
         assert not report.capacity_certified
 
     def test_bound_below_rate_is_a_typed_defect(self, monkeypatch):

@@ -52,6 +52,13 @@ class TestWorkedValues:
         assert res.r_sr == pytest.approx(1.5, abs=1e-12)
         assert res.winner is Winner.BRANCH2
 
+    @pytest.mark.parametrize("k", [-60, -40, -20, 0, 20])
+    def test_winner_of_1242_at_every_scale(self, k):
+        # r2 = 1.25 r1 at every scale, so no scale makes the branches tie
+        res = sr_rate_min_form(times_power_of_two(LinkCapacities(1, 2, 4, 2, 3, 6), k))
+        assert res.r2 == pytest.approx(1.25 * res.r1, rel=1e-12)
+        assert res.winner is Winner.BRANCH2
+
     def test_mirror_of_1242_flips_winner(self):
         res = sr_rate_min_form(caps_of(2.0, 1.0, 2.0, 4.0))
         assert res.r_sr == pytest.approx(1.5, abs=1e-12)
@@ -189,6 +196,15 @@ class TestStructure:
         caps = times_power_of_two(caps_of(c01, c02, c13, c23), k)
         r1, r2 = sr_rate_closed_form(caps)
         assert sr_rate_closed_form(relay_swap(caps)) == (r2, r1)
+
+    @given(c01=cap, c02=cap, c13=cap, c23=cap, k=st.integers(min_value=-200, max_value=200))
+    def test_winner_unchanged_under_power_of_two_scaling(self, c01, c02, c13, c23, k):
+        # every float step of the min form stays normal here and scales exactly
+        # by 2^k, so r1 and r2 do, and the relative tie rule must keep its verdict
+        caps = caps_of(c01, c02, c13, c23)
+        res, scaled = sr_rate_min_form(caps), sr_rate_min_form(times_power_of_two(caps, k))
+        assert (scaled.r1, scaled.r2) == (math.ldexp(res.r1, k), math.ldexp(res.r2, k))
+        assert scaled.winner is res.winner
 
     @given(c01=cap, c02=cap, c13=cap, c23=cap)
     def test_relabeling_relays_swaps_branches_min_form(self, c01, c02, c13, c23):
