@@ -108,7 +108,7 @@ def _csv_cell(value: object) -> str:
     """One CSV cell: 17-digit floats, lower-case booleans, None empty, lists ';'-joined."""
     if value is None:
         return ""
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return ";".join(map(_csv_cell, value))
     if isinstance(value, bool):
         return "true" if value else "false"

@@ -8,6 +8,10 @@ builds the schedule t* that equalizes all four cuts under the product
 condition, evaluates the perturbation argument showing t* cannot be improved
 (the paper's two closed-form cut changes, computed exactly and rounded once),
 and assembles everything into a certification report.
+
+Every function here takes link capacities (LinkCapacities). A channel given
+in gains and powers (ChannelSpec) goes through derive_capacities first, as in
+certify_capacities(derive_capacities(spec)).
 """
 
 from __future__ import annotations
@@ -16,11 +20,9 @@ import enum
 from dataclasses import dataclass
 
 from .channel_model import (
-    ChannelSpec,
     LinkCapacities,
     _check_fields,
     _integers,
-    derive_capacities,
     plain_dict,
 )
 from .cutset_lp import solve_bound
@@ -42,7 +44,6 @@ __all__ = [
     "predicted_rate",
     "t_star",
     "perturbation_check",
-    "certify",
     "certify_capacities",
 ]
 
@@ -244,13 +245,8 @@ def perturbation_check(
     return _rounded(k_c02, de * dg * dh * D), _rounded(-k_c02 * a, de * dg * dh * D * c)
 
 
-def certify(spec: ChannelSpec) -> OptimalityReport:
-    """Full certification pipeline for one channel instance."""
-    return certify_capacities(derive_capacities(spec))
-
-
 def certify_capacities(caps: LinkCapacities) -> OptimalityReport:
-    """Certification directly from capacities.
+    """Full certification of one instance from its capacities.
 
     Computes the achievable rate and the cut-set bound, classifies the
     instance, and certifies when the product condition holds and

@@ -26,9 +26,6 @@ __all__ = [
     "sr_rate_closed_form",
 ]
 
-# both branches come from the same inputs, so exact ties are real, not noise
-_TIE_REL_TOL = 1e-12
-
 
 class Winner(enum.Enum):
     """Which balanced branch attains the maximum."""
@@ -88,7 +85,7 @@ def sr_rate_min_form(caps: LinkCapacities) -> SrRateResult:
     r1 = lambda1 * caps.c01 + min(lambda1 * caps.c23, (1.0 - lambda1) * caps.c02)
     r2 = lambda2 * caps.c23 + min((1.0 - lambda2) * caps.c13, lambda2 * caps.c01)
     r_sr = max(r1, r2)
-    if abs(r1 - r2) <= _TIE_REL_TOL * r_sr:
+    if abs(r1 - r2) <= 1e-12 * r_sr:
         winner = Winner.TIE
     elif r1 > r2:
         winner = Winner.BRANCH1

@@ -21,10 +21,10 @@ from diamond_relay import (
     LinkCapacities,
     NegativeGapError,
     PerturbationSpec,
-    certify,
     certify_capacities,
     classify,
     cut_values,
+    derive_capacities,
     induced_capacities,
     perturbation_check,
     predicted_rate,
@@ -426,7 +426,7 @@ class TestCertify:
             sigma1_sq=1.0, sigma2_sq=1.0, sigma3_sq=1.0,
             p_s=1.0, p_r1=1.0, p_r2=1.0,
         )
-        report = certify(spec)
+        report = certify_capacities(derive_capacities(spec))
         assert report.r_sr == pytest.approx(2.0, abs=1e-12)
         assert report.capacity_certified
         assert report.lemma_case is LemmaCase.PRODUCT_EQUAL
@@ -438,7 +438,7 @@ class TestCertify:
             sigma1_sq=1.0, sigma2_sq=1.0, sigma3_sq=1.0,
             p_s=1.0, p_r1=1.0, p_r2=1.0,
         )
-        assert certify(spec).capacity_certified
+        assert certify_capacities(derive_capacities(spec)).capacity_certified
 
     def test_source_sides_equal_is_not_certified(self):
         report = certify_capacities(caps_of(1.0, 1.0, 2.0, 2.0))
