@@ -270,6 +270,17 @@ class TestRecordsAndSummary:
         assert summary["gap_max"] == max(gaps)
         assert summary["gap_mean"] == pytest.approx(sum(gaps) / len(gaps), rel=1e-12)
 
+    def test_summary_relative_gap_stats(self):
+        # at unit powers every bound is far above the floor, so every record counts
+        records, summary = run_sweep(small_config())
+        relative = [r.gap / r.bound for r in records]
+        assert summary["relative_gap"]["n"] == len(records) == 20
+        assert summary["relative_gap"]["min"] == min(relative)
+        assert summary["relative_gap"]["max"] == max(relative)
+        assert summary["relative_gap"]["mean"] == pytest.approx(
+            sum(relative) / len(relative), rel=1e-12
+        )
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
